@@ -282,23 +282,55 @@ let prop_suurballe_matches_min_cost_flow =
         && Float.abs (c -. c') < 1e-6
       | _ -> false)
 
+(* Odd seeds also pass a random [?enabled] filter (about one arc in five
+   off) to both variants. *)
 let prop_paper_variant_agrees =
   QCheck.Test.make
     ~name:"paper-literal Find_Two_Paths = potentials Suurballe" ~count:200
     QCheck.small_int (fun seed ->
       let g, w = random_graph (seed + 4000) in
       let target = Digraph.n_nodes g - 1 in
+      let enabled =
+        if seed land 1 = 0 then None
+        else begin
+          let rng = Rng.create (seed + 9000) in
+          let on = Array.init (Digraph.n_edges g) (fun _ -> Rng.uniform rng < 0.8) in
+          Some (fun e -> on.(e))
+        end
+      in
+      let uses_enabled p =
+        match enabled with None -> true | Some f -> List.for_all f p
+      in
       match
-        ( Suurballe.edge_disjoint_pair g ~weight:w ~source:0 ~target,
-          Suurballe.edge_disjoint_pair_paper g ~weight:w ~source:0 ~target )
+        ( Suurballe.edge_disjoint_pair ?enabled g ~weight:w ~source:0 ~target,
+          Suurballe.edge_disjoint_pair_paper ?enabled g ~weight:w ~source:0 ~target )
       with
       | None, None -> true
       | Some ((a1, a2), ca), Some ((b1, b2), cb) ->
         Float.abs (ca -. cb) < 1e-6
         && Path.edge_disjoint a1 a2 && Path.edge_disjoint b1 b2
+        && Path.is_valid g ~source:0 ~target a1
+        && Path.is_valid g ~source:0 ~target a2
         && Path.is_valid g ~source:0 ~target b1
         && Path.is_valid g ~source:0 ~target b2
+        && List.for_all uses_enabled [ a1; a2; b1; b2 ]
       | _ -> false)
+
+(* The committed golden (tools/gen_pair_golden) pins every arc and cost
+   bit of the disjoint pairs on G'; each workspace discipline must
+   reproduce it exactly. *)
+let test_suurballe_golden () =
+  let golden =
+    In_channel.with_open_bin "corpus/suurballe_pairs.golden" In_channel.input_all
+  in
+  List.iter
+    (fun (label, mode) ->
+      check Alcotest.string label golden (Rr_check.Pair_golden.render mode))
+    [
+      ("no workspace", Rr_check.Pair_golden.Fresh_workspaces);
+      ("one workspace", Rr_check.Pair_golden.Shared_workspace);
+      ("workspace shared with Layered.optimal", Rr_check.Pair_golden.Shared_with_layered);
+    ]
 
 let prop_node_disjoint_internally =
   QCheck.Test.make ~name:"node-disjoint pair shares no internal node" ~count:150
@@ -529,6 +561,7 @@ let suite =
         Alcotest.test_case "parallel edges" `Quick test_suurballe_parallel_edges;
         qtest prop_suurballe_matches_min_cost_flow;
         qtest prop_paper_variant_agrees;
+        Alcotest.test_case "golden pairs on G'" `Quick test_suurballe_golden;
         qtest prop_node_disjoint_internally;
       ] );
     ( "graph.flow",
