@@ -1272,10 +1272,6 @@ let batch_scaling_measurements () =
       restore r;
       r
     in
-    let seq_ns =
-      measure_ns (fun () ->
-          restore (RR.Batch.route batch_net Router.Cost_approx batch_reqs))
-    in
     let recommended = RR.Parallel.recommended_jobs () in
     (* Floors are keyed on the pool's *effective* worker count (requests
        above [recommended_jobs] clamp, see Parallel.create), so the gate
@@ -1292,33 +1288,52 @@ let batch_scaling_measurements () =
     let scaling_points =
       List.filter (fun j -> j <= !max_jobs) [ 1; 2; 4; 8 ]
     in
-    let curve =
-      List.map
-        (fun j ->
-          RR.Parallel.with_pool ~jobs:j (fun pool ->
-              let effective = RR.Parallel.size pool in
-              (* Identity first (this run also warms the pool's shards):
-                 the parallel engine must be byte-identical to the
-                 sequential reference at every point on the curve. *)
-              let r =
-                RR.Batch.route_parallel ~pool batch_net Router.Cost_approx
-                  batch_reqs
-              in
-              let identical = r = reference in
-              restore r;
-              let ns =
-                measure_ns (fun () ->
-                    restore
-                      (RR.Batch.route_parallel ~pool batch_net
-                         Router.Cost_approx batch_reqs))
-              in
-              let sp = if ns > 0.0 then seq_ns /. ns else nan in
-              let floor = floor_for effective in
-              ( j, effective, ns, sp, floor, identical,
-                identical && sp >= floor )))
-        scaling_points
+    let measure_curve () =
+      let seq_ns =
+        measure_ns (fun () ->
+            restore (RR.Batch.route batch_net Router.Cost_approx batch_reqs))
+      in
+      let curve =
+        List.map
+          (fun j ->
+            RR.Parallel.with_pool ~jobs:j (fun pool ->
+                let effective = RR.Parallel.size pool in
+                (* Identity first (this run also warms the pool's shards):
+                   the parallel engine must be byte-identical to the
+                   sequential reference at every point on the curve. *)
+                let r =
+                  RR.Batch.route_parallel ~pool batch_net Router.Cost_approx
+                    batch_reqs
+                in
+                let identical = r = reference in
+                restore r;
+                let ns =
+                  measure_ns (fun () ->
+                      restore
+                        (RR.Batch.route_parallel ~pool batch_net
+                           Router.Cost_approx batch_reqs))
+                in
+                let sp = if ns > 0.0 then seq_ns /. ns else nan in
+                let floor = floor_for effective in
+                ( j, effective, ns, sp, floor, identical,
+                  identical && sp >= floor )))
+          scaling_points
+      in
+      (seq_ns, curve)
     in
-    let batch_ok = List.for_all (fun (_, _, _, _, _, _, ok) -> ok) curve in
+    (* Like the obs and serve gates, a speedup below its floor re-measures
+       the whole curve once (the timings share the machine with the rest
+       of CI).  A divergence from sequential is never retried, and the
+       retry must be identical too. *)
+    let all_ok (_, curve) = List.for_all (fun (_, _, _, _, _, _, ok) -> ok) curve in
+    let all_identical (_, curve) =
+      List.for_all (fun (_, _, _, _, _, id, _) -> id) curve
+    in
+    let first = measure_curve () in
+    let seq_ns, curve =
+      if all_ok first || not (all_identical first) then first else measure_curve ()
+    in
+    let batch_ok = all_ok (seq_ns, curve) in
     record_csv ~slug:"batch_scaling"
       ~header:
         [ "jobs"; "effective_jobs"; "ns"; "speedup"; "floor"; "identical";

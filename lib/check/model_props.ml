@@ -84,9 +84,12 @@ let check_bitset rng =
 (* ------------------------------------------------------------------ *)
 (* Indexed_heap vs association table                                    *)
 
+(* A twin heap [h2] receives every operation of [h] but pops through the
+   no-alloc [pop_min_key], which must remove the same key as [pop_min]. *)
 let check_indexed_heap rng =
   let cap = 4 + Rng.int rng 40 in
   let h = Iheap.create cap in
+  let h2 = Iheap.create cap in
   let model = Hashtbl.create 16 in
   let prio () = Float.of_int (Rng.int rng 50) /. 4.0 in
   let model_min () =
@@ -106,6 +109,7 @@ let check_indexed_heap rng =
        if not (Iheap.mem h k) then begin
          let p = prio () in
          Iheap.insert h k p;
+         Iheap.insert h2 k p;
          Hashtbl.replace model k p
        end
      | 2 ->
@@ -114,6 +118,7 @@ let check_indexed_heap rng =
          let p = Hashtbl.find model k in
          let p' = p -. Float.of_int (1 + Rng.int rng 8) in
          Iheap.decrease h k p';
+         Iheap.decrease h2 k p';
          Hashtbl.replace model k p'
        end
      | 3 ->
@@ -124,9 +129,15 @@ let check_indexed_heap rng =
          | Some old -> if p < old then Some p else None
        in
        Iheap.insert_or_decrease h k p;
+       Iheap.insert_or_decrease h2 k p;
        (match expected with Some p -> Hashtbl.replace model k p | None -> ())
      | 4 -> (
+       let twin = if Iheap.is_empty h2 then -1 else Iheap.pop_min_key h2 in
        match (Iheap.pop_min h, model_min ()) with
+       | Some (k, _), _ when k <> twin ->
+         result := fail "indexed_heap pop_min_key took %d, pop_min %d" twin k
+       | None, _ when twin <> -1 ->
+         result := fail "indexed_heap pop_min_key took %d from an empty heap" twin
        | None, None -> ()
        | None, Some _ -> result := fail "indexed_heap empty but model is not"
        | Some _, None -> result := fail "indexed_heap popped from empty model"
@@ -139,10 +150,12 @@ let check_indexed_heap rng =
      | _ ->
        if Rng.int rng 20 = 0 then begin
          Iheap.clear h;
+         Iheap.clear h2;
          Hashtbl.reset model
        end);
     if !result = None then begin
-      if Iheap.cardinal h <> Hashtbl.length model then
+      if Iheap.cardinal h <> Hashtbl.length model || Iheap.cardinal h2 <> Iheap.cardinal h
+      then
         result :=
           fail "indexed_heap cardinal %d vs model %d" (Iheap.cardinal h)
             (Hashtbl.length model)

@@ -26,6 +26,7 @@ let pred_edge t v =
   Workspace.pred t.ws v
 
 let source t = t.source
+let workspace t = t.ws
 
 let dists t =
   check t;
@@ -47,35 +48,25 @@ let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
   Workspace.reset ws n;
   let heap = Workspace.heap ws n in
   let enabled = match enabled with None -> fun _ -> true | Some f -> f in
-  Workspace.set ws source 0.0 (-1);
-  Rr_util.Indexed_heap.insert heap source 0.0;
+  ignore (Workspace.relax ws source 0.0 (-1) : bool);
   let pops = ref 0 and inserts = ref 1 in
   let exception Done in
   (try
-     let rec loop () =
-       match Rr_util.Indexed_heap.pop_min heap with
-       | None -> ()
-       | Some (u, du) ->
-         incr pops;
-         if (match target with Some t -> u = t | None -> false) then raise Done;
-         let edges = Digraph.out_edges g u in
-         for i = 0 to Array.length edges - 1 do
-           let e = edges.(i) in
-           if enabled e then begin
-             let w = weight e in
-             if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-             let v = Digraph.dst g e in
-             let dv = du +. w in
-             if dv < Workspace.dist ws v then begin
-               Workspace.set ws v dv e;
-               Rr_util.Indexed_heap.insert_or_decrease heap v dv;
-               incr inserts
-             end
-           end
-         done;
-         loop ()
-     in
-     loop ()
+     while not (Rr_util.Indexed_heap.is_empty heap) do
+       let u = Rr_util.Indexed_heap.pop_min_key heap in
+       let du = Workspace.dist ws u in
+       incr pops;
+       if (match target with Some t -> u = t | None -> false) then raise Done;
+       let edges = Digraph.out_edges g u in
+       for i = 0 to Array.length edges - 1 do
+         let e = edges.(i) in
+         if enabled e then begin
+           let w = weight e in
+           if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+           if Workspace.relax ws (Digraph.dst g e) (du +. w) e then incr inserts
+         end
+       done
+     done
    with Done -> ());
   Obs.add obs "heap.pop" !pops;
   Obs.add obs "heap.insert" !inserts;

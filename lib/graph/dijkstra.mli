@@ -1,7 +1,8 @@
 (** Single-source shortest paths with non-negative edge weights.
 
     The workhorse of the whole repository: the auxiliary-graph routing of
-    Section 3.3, both Dijkstra passes of Suurballe's algorithm, and the
+    Section 3.3, the first pass of Suurballe's algorithm (whose second
+    pass runs the same loop on an implicit residual graph), and the
     layered-wavelength-graph search all reduce to this routine.  Uses the
     indexed binary heap from {!Rr_util.Indexed_heap}
     ([O((n + m) log n)]).
@@ -53,6 +54,10 @@ val pred_edge : tree -> int -> int
 (** Incoming tree edge id, or [-1]. *)
 
 val source : tree -> int
+
+val workspace : tree -> Rr_util.Workspace.t
+(** The workspace holding the tree's state (the caller's, or the private
+    one allocated for the search).  Its next search makes the tree stale. *)
 
 val dists : tree -> float array
 (** Materialise all distances as a fresh array (safe to keep after the

@@ -11,11 +11,27 @@
     unspecified.  The reported cost is the exact sum of the original weights
     over both paths.
 
+    {!edge_disjoint_pair} never materialises the transformed graph of
+    the second pass.  Pass 1 is a full {!Dijkstra.tree}; its distances
+    become potentials and its path's arcs are recorded in the workspace
+    ({!Rr_util.Workspace.save_potentials}).  Pass 2 then runs on the
+    implicit residual graph over the original digraph: each popped node's
+    enabled out-edges off the first path under reduced cost
+    [max (w e +. π u -. π v) 0], with the zero-cost reversal of the
+    first-path edge entering it merged in at its edge id.  That is the
+    arc order a materialised graph would list, so relaxations, heap ties
+    and float operations — hence the returned pairs — are exactly those
+    of the textbook construction.  The cancelled union of both paths is
+    then decomposed in ascending edge-id order.
+
     All entry points accept an optional {!Rr_util.Workspace.t}, passed
-    through to the underlying Dijkstra passes so a long-lived caller reuses
-    one set of scratch arrays.  [?obs] records a [kernel.suurballe] span
-    around {!edge_disjoint_pair} and is forwarded to the Dijkstra
-    passes.
+    through to the underlying searches so a long-lived caller reuses one
+    set of scratch arrays; both passes of {!edge_disjoint_pair} run on
+    it, so a pass-1 {!Dijkstra.tree} taken over the same workspace is
+    stale afterwards.  [?obs] records a [kernel.suurballe] span around
+    {!edge_disjoint_pair}, and each of its two passes a [kernel.dijkstra]
+    span with [heap.pop] / [heap.insert] and [workspace.hit] /
+    [workspace.miss] counters, as {!Dijkstra.run} does.
 
     All entry points raise [Invalid_argument] when [source = target], and
     on the internal invariant violation of a flow decomposition that gets

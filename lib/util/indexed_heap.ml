@@ -78,19 +78,26 @@ let insert_or_decrease t k p =
     if p < t.prio.(t.pos.(k)) then decrease t k p
   end else insert t k p
 
+(* lint: no-alloc *)
+let pop_min_key t =
+  if t.size = 0 then invalid_arg "Indexed_heap.pop_min_key: empty heap";
+  let k = t.keys.(0) in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    let last = t.size in
+    t.keys.(0) <- t.keys.(last);
+    t.prio.(0) <- t.prio.(last);
+    t.pos.(t.keys.(0)) <- 0;
+    sift_down t 0
+  end;
+  t.pos.(k) <- -1;
+  k
+
 let pop_min t =
   if t.size = 0 then None
   else begin
-    let k = t.keys.(0) and p = t.prio.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      let last = t.size in
-      t.keys.(0) <- t.keys.(last);
-      t.prio.(0) <- t.prio.(last);
-      t.pos.(t.keys.(0)) <- 0;
-      sift_down t 0
-    end;
-    t.pos.(k) <- -1;
+    let p = t.prio.(0) in
+    let k = pop_min_key t in
     Some (k, p)
   end
 

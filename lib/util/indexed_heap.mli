@@ -37,4 +37,10 @@ val insert_or_decrease : t -> int -> float -> unit
 val pop_min : t -> (int * float) option
 (** Remove and return the minimum-priority entry. *)
 
+val pop_min_key : t -> int
+(** Remove the minimum-priority entry and return its key, allocating
+    nothing: the hot-loop form of {!pop_min} for searches that keep each
+    key's priority elsewhere (a {!Workspace} distance).  Pops the same key
+    {!pop_min} would.  Raises [Invalid_argument] on an empty heap. *)
+
 val clear : t -> unit

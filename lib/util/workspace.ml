@@ -9,6 +9,8 @@ type t = {
   mutable mark_cap : int;
   mutable mark_stamp : int array;
   mutable mark_gen : int;
+  mutable pot : float array;
+  mutable path_in : int array;
 }
 
 let grow_size needed current = max needed (max 16 (2 * current))
@@ -26,6 +28,8 @@ let create ?(capacity = 0) () =
     mark_cap = 1;
     mark_stamp = Array.make 1 0;
     mark_gen = 1;
+    pot = Array.make 1 infinity;
+    path_in = Array.make 1 (-1);
   }
 
 let reset t n =
@@ -62,6 +66,15 @@ let set t i d p =
 (* lint: no-alloc *)
 let generation t = t.gen
 
+(* lint: no-alloc *)
+let relax t i d p =
+  if d < dist t i then begin
+    set t i d p;
+    Indexed_heap.insert_or_decrease t.hp i d;
+    true
+  end
+  else false
+
 let heap t n =
   if n > t.hp_cap then begin
     let cap = grow_size n t.hp_cap in
@@ -89,3 +102,27 @@ let mark t i = t.mark_stamp.(i) <- t.mark_gen
 
 (* lint: no-alloc *)
 let marked t i = t.mark_stamp.(i) = t.mark_gen
+
+let save_potentials t n =
+  if n < 0 || n > t.cap then invalid_arg "Workspace.save_potentials: state count";
+  if n > Array.length t.pot then begin
+    let cap = grow_size n (Array.length t.pot) in
+    t.pot <- Array.make cap infinity;
+    t.path_in <- Array.make cap (-1)
+  end;
+  for i = 0 to n - 1 do
+    t.pot.(i) <- dist t i;
+    t.path_in.(i) <- -1
+  done
+
+(* lint: no-alloc *)
+let relax_reduced t u v du w p =
+  let pv = t.pot.(v) in
+  (* Clamp tiny negatives from float rounding. *)
+  pv < infinity && relax t v (du +. Float.max (w +. t.pot.(u) -. pv) 0.0) p
+
+(* lint: no-alloc *)
+let set_path_in t i e = t.path_in.(i) <- e
+
+(* lint: no-alloc *)
+let path_in t i = t.path_in.(i)

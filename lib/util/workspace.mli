@@ -18,6 +18,12 @@
     link-subset membership (the induced-subgraph refinements of the
     Section 3.3 pipeline) without building a hash table per request.
 
+    A third bank serves two-pass searches such as Suurballe's: a
+    {e potential} per state, copied from a finished search's distances by
+    {!save_potentials}, and one {e path slot} per state naming a path arc
+    that enters it.  Both survive {!reset}, so the second pass can run on
+    the same distance arrays while reading the first pass's results.
+
     {b Not domain-safe.}  A workspace must only ever be used by one domain
     at a time; give each worker of a parallel batch its own workspace (see
     {!Rr_core.Parallel} users).  Within a domain, searches may share one
@@ -46,6 +52,11 @@ val is_set : t -> int -> bool
 val set : t -> int -> float -> int -> unit
 (** [set ws state d p] records distance [d] and predecessor code [p]. *)
 
+val relax : t -> int -> float -> int -> bool
+(** [relax ws state d p]: when [d] improves the state's distance, records
+    [d] and [p] (as {!set}) and inserts or decreases the state in the
+    workspace's heap (the one {!heap} last returned).  Whether it did. *)
+
 val generation : t -> int
 (** Current generation, bumped by every {!reset}.  Search results that
     alias the workspace record it to detect staleness. *)
@@ -61,3 +72,23 @@ val mark_reset : t -> int -> unit
 val mark : t -> int -> unit
 
 val marked : t -> int -> bool
+
+val save_potentials : t -> int -> unit
+(** [save_potentials ws n] copies the distances of states [0 .. n-1] (as
+    {!dist} reads them, [infinity] when unset) into the potential bank and
+    clears their path slots to [-1].  O(n).  Raises [Invalid_argument]
+    when [n] is negative or beyond the arrays {!reset} has sized. *)
+
+val relax_reduced : t -> int -> int -> float -> float -> int -> bool
+(** [relax_reduced ws u v du w p] relaxes arc [u -> v] of weight [w] out
+    of a state at distance [du] under the saved potentials: {!relax} [v]
+    with [du +. max (w +. π u -. π v) 0], π being the potentials (the
+    clamp absorbs rounding below zero).  A [v] of infinite potential is
+    never relaxed. *)
+
+val set_path_in : t -> int -> int -> unit
+(** [set_path_in ws v e] records arc [e] as the path arc entering [v]
+    ([-1] clears it). *)
+
+val path_in : t -> int -> int
+(** The path arc entering a state, or [-1]. *)

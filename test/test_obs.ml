@@ -275,6 +275,36 @@ let test_no_validator_rejects () =
 (* ------------------------------------------------------------------ *)
 (* Simulator books balance                                              *)
 
+(* The probes one Cost_approx admission records — names, counter values
+   and span counts — pinned so a kernel rewrite keeps /metrics meaning the
+   same thing: both Suurballe passes record a kernel.dijkstra span, and
+   the heap and workspace counters sum over every search. *)
+let test_admission_probe_set () =
+  let render ?workspace () =
+    let net = perf_net ~preload:0.25 47 in
+    let obs = Obs.create () in
+    ignore
+      (Router.admit ?workspace ~obs net Router.Cost_approx ~source:0 ~target:9
+        : Types.solution option);
+    String.concat " "
+      (List.map
+         (fun (name, v) ->
+           match v with
+           | Metrics.Counter c -> Printf.sprintf "%s=%d" name c
+           | Metrics.Histogram h -> Printf.sprintf "%s#%d" name h.Metrics.count
+           | _ -> name)
+         (Metrics.items (Obs.metrics obs)))
+  in
+  let common =
+    "admit.ok=1 conv.expansions=96 heap.insert=346 heap.pop=288 \
+     kernel.dijkstra#2 kernel.layered#2 kernel.suurballe#1 req.admit#1 \
+     stage.allocate#1 stage.aux_graph#1 stage.disjoint_pair#1 stage.induce#1 \
+     stage.refine#1 stage.validate#1"
+  in
+  Alcotest.(check string) "pooled" (common ^ " workspace.hit=4")
+    (render ~workspace:(Rr_util.Workspace.create ()) ());
+  Alcotest.(check string) "unpooled" (common ^ " workspace.miss=4") (render ())
+
 let test_sim_books_balance () =
   let rng = Rng.create 7 in
   let net =
@@ -718,6 +748,7 @@ let suite =
       ] );
     ( "obs.regression",
       [
+        Alcotest.test_case "admission probe set" `Quick test_admission_probe_set;
         Alcotest.test_case "no validator rejects at high preload" `Slow
           test_no_validator_rejects;
         Alcotest.test_case "simulator books balance" `Slow

@@ -152,6 +152,44 @@ let test_heap_clear () =
   Heap.insert h 0 3.0;
   check Alcotest.(option (pair int (float 0.0))) "reusable" (Some (0, 3.0)) (Heap.pop_min h)
 
+(* Two heaps fed the same interleaving of inserts, decreases, pops and
+   clears (integer priorities, so ties are common): pop_min_key must
+   remove exactly the key pop_min removes, and raise on an empty heap. *)
+let test_heap_pop_min_key () =
+  let rng = Rng.create 11 in
+  let cap = 24 in
+  let a = Heap.create cap and b = Heap.create cap in
+  let pops = ref 0 in
+  for step = 1 to 3000 do
+    let k = Rng.int rng cap in
+    match Rng.int rng 10 with
+    | 0 | 1 | 2 ->
+      let p = float_of_int (Rng.int rng 12) in
+      Heap.insert_or_decrease a k p;
+      Heap.insert_or_decrease b k p
+    | 3 | 4 ->
+      if Heap.mem a k then begin
+        let p = Heap.priority a k -. float_of_int (Rng.int rng 3) in
+        Heap.decrease a k p;
+        Heap.decrease b k p
+      end
+    | 5 when step mod 7 = 0 ->
+      Heap.clear a;
+      Heap.clear b
+    | _ -> (
+      match Heap.pop_min a with
+      | None -> checkb "both empty" true (Heap.is_empty b)
+      | Some (ka, _) ->
+        incr pops;
+        check Alcotest.int "same key" ka (Heap.pop_min_key b);
+        check Alcotest.int "same size" (Heap.cardinal a) (Heap.cardinal b))
+  done;
+  checkb "pops exercised" true (!pops > 500);
+  Heap.clear b;
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Indexed_heap.pop_min_key: empty heap") (fun () ->
+      ignore (Heap.pop_min_key b : int))
+
 let prop_heap_sorts =
   QCheck.Test.make ~name:"indexed heap pops in sorted order" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 60) (float_range 0.0 100.0))
@@ -396,6 +434,7 @@ let suite =
         Alcotest.test_case "rejects duplicate" `Quick test_heap_rejects_duplicate;
         Alcotest.test_case "insert_or_decrease" `Quick test_heap_insert_or_decrease;
         Alcotest.test_case "clear" `Quick test_heap_clear;
+        Alcotest.test_case "pop_min_key agrees with pop_min" `Quick test_heap_pop_min_key;
         qtest prop_heap_sorts;
         qtest prop_heap_decrease_key;
       ] );
