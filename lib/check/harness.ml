@@ -95,9 +95,9 @@ let cases =
     {
       id = 9;
       name = "iheap";
-      doc = "Indexed_heap vs sorted reference (incl. decrease-key)";
+      doc = "Workspace heap vs sorted reference (incl. decrease-key)";
       trial_cost = 1;
-      kind = Raw Model_props.check_indexed_heap;
+      kind = Raw Model_props.check_workspace_heap;
     };
     {
       id = 10;

@@ -1,6 +1,6 @@
 module Rng = Rr_util.Rng
 module Bitset = Rr_util.Bitset
-module Iheap = Rr_util.Indexed_heap
+module Ws = Rr_util.Workspace
 module Pheap = Rr_util.Pairing_heap
 module Uf = Rr_util.Union_find
 
@@ -82,21 +82,33 @@ let check_bitset rng =
     else None
 
 (* ------------------------------------------------------------------ *)
-(* Indexed_heap vs association table                                    *)
+(* Workspace heap vs association tables                                 *)
 
-(* A twin heap [h2] receives every operation of [h] but pops through the
-   no-alloc [pop_min_key], which must remove the same key as [pop_min]. *)
-let check_indexed_heap rng =
+(* The model keeps every state's best distance since the last reset
+   ([best]) and the queued subset with its priority ([queued]): [relax]
+   succeeds exactly when it improves [best], and (re)queues the state. *)
+let check_workspace_heap rng =
   let cap = 4 + Rng.int rng 40 in
-  let h = Iheap.create cap in
-  let h2 = Iheap.create cap in
-  let model = Hashtbl.create 16 in
+  let ws = Ws.create ~capacity:(Rng.int rng cap) () in
+  Ws.reset ws cap;
+  let best = Hashtbl.create 16 and queued = Hashtbl.create 16 in
   let prio () = Float.of_int (Rng.int rng 50) /. 4.0 in
   let model_min () =
     Hashtbl.fold
       (fun k p acc ->
         match acc with Some (_, bp) when bp <= p -> acc | _ -> Some (k, p))
-      model None
+      queued None
+  in
+  let relax k p =
+    let expected = match Hashtbl.find_opt best k with None -> true | Some b -> p < b in
+    if Ws.relax ws k p k <> expected then fail "workspace heap relax %d %g disagrees" k p
+    else begin
+      if expected then begin
+        Hashtbl.replace best k p;
+        Hashtbl.replace queued k p
+      end;
+      None
+    end
   in
   let result = ref None in
   let steps = 150 in
@@ -105,69 +117,42 @@ let check_indexed_heap rng =
     incr i;
     let k = Rng.int rng cap in
     (match Rng.int rng 6 with
-     | 0 | 1 ->
-       if not (Iheap.mem h k) then begin
-         let p = prio () in
-         Iheap.insert h k p;
-         Iheap.insert h2 k p;
-         Hashtbl.replace model k p
-       end
-     | 2 ->
-       (* decrease-key on a queued key *)
-       if Iheap.mem h k then begin
-         let p = Hashtbl.find model k in
-         let p' = p -. Float.of_int (1 + Rng.int rng 8) in
-         Iheap.decrease h k p';
-         Iheap.decrease h2 k p';
-         Hashtbl.replace model k p'
-       end
-     | 3 ->
-       let p = prio () in
-       let expected =
-         match Hashtbl.find_opt model k with
-         | None -> Some p
-         | Some old -> if p < old then Some p else None
-       in
-       Iheap.insert_or_decrease h k p;
-       Iheap.insert_or_decrease h2 k p;
-       (match expected with Some p -> Hashtbl.replace model k p | None -> ())
-     | 4 -> (
-       let twin = if Iheap.is_empty h2 then -1 else Iheap.pop_min_key h2 in
-       match (Iheap.pop_min h, model_min ()) with
-       | Some (k, _), _ when k <> twin ->
-         result := fail "indexed_heap pop_min_key took %d, pop_min %d" twin k
-       | None, _ when twin <> -1 ->
-         result := fail "indexed_heap pop_min_key took %d from an empty heap" twin
-       | None, None -> ()
-       | None, Some _ -> result := fail "indexed_heap empty but model is not"
-       | Some _, None -> result := fail "indexed_heap popped from empty model"
-       | Some (k, p), Some (_, mp) ->
-         if p <> mp then
-           result := fail "indexed_heap pop priority %g, model min %g" p mp
-         else if Hashtbl.find_opt model k <> Some p then
-           result := fail "indexed_heap popped key %d not at min priority" k
-         else Hashtbl.remove model k)
-     | _ ->
+     | 0 | 1 -> result := relax k (prio ())
+     | 2 -> (
+       (* decrease-key on a queued state *)
+       match Hashtbl.find_opt queued k with
+       | Some p -> result := relax k (p -. Float.of_int (1 + Rng.int rng 8))
+       | None -> ())
+     | 3 -> (
+       match model_min () with
+       | None ->
+         if Ws.heap_size ws <> 0 then result := fail "workspace heap not empty with empty model"
+       | Some (_, mp) ->
+         let k = Ws.pop_min ws in
+         if Hashtbl.find_opt queued k <> Some mp then
+           result := fail "workspace heap popped %d, not at min priority %g" k mp
+         else if Ws.dist ws k <> mp then
+           result := fail "workspace heap popped %d at distance %g, model %g" k (Ws.dist ws k) mp
+         else Hashtbl.remove queued k)
+     | 4 ->
        if Rng.int rng 20 = 0 then begin
-         Iheap.clear h;
-         Iheap.clear h2;
-         Hashtbl.reset model
-       end);
+         Ws.reset ws cap;
+         Hashtbl.reset best;
+         Hashtbl.reset queued
+       end
+     | _ -> ());
     if !result = None then begin
-      if Iheap.cardinal h <> Hashtbl.length model || Iheap.cardinal h2 <> Iheap.cardinal h
-      then
+      if Ws.heap_size ws <> Hashtbl.length queued then
         result :=
-          fail "indexed_heap cardinal %d vs model %d" (Iheap.cardinal h)
-            (Hashtbl.length model)
+          fail "workspace heap size %d vs model %d" (Ws.heap_size ws) (Hashtbl.length queued)
       else begin
         let k = Rng.int rng cap in
-        match Hashtbl.find_opt model k with
+        match Hashtbl.find_opt queued k with
         | Some p ->
-          if not (Iheap.mem h k) then result := fail "indexed_heap lost key %d" k
-          else if Iheap.priority h k <> p then
-            result := fail "indexed_heap priority of %d is %g, model %g" k (Iheap.priority h k) p
-        | None ->
-          if Iheap.mem h k then result := fail "indexed_heap ghost key %d" k
+          if not (Ws.queued ws k) then result := fail "workspace heap lost state %d" k
+          else if Ws.dist ws k <> p then
+            result := fail "workspace heap priority of %d is %g, model %g" k (Ws.dist ws k) p
+        | None -> if Ws.queued ws k then result := fail "workspace heap ghost state %d" k
       end
     end
   done;
@@ -175,15 +160,12 @@ let check_indexed_heap rng =
   match !result with
   | Some _ as r -> r
   | None ->
-    let rec drain acc = match Iheap.pop_min h with
-      | None -> List.rev acc
-      | Some (_, p) -> drain (p :: acc)
+    let rec drain acc =
+      if Ws.heap_size ws = 0 then List.rev acc else drain (Ws.dist ws (Ws.pop_min ws) :: acc)
     in
     let pops = drain [] in
-    let sorted =
-      List.sort compare (Hashtbl.fold (fun _ p acc -> p :: acc) model [])
-    in
-    if pops <> sorted then fail "indexed_heap drain order differs from sorted reference"
+    let sorted = List.sort compare (Hashtbl.fold (fun _ p acc -> p :: acc) queued []) in
+    if pops <> sorted then fail "workspace heap drain order differs from sorted reference"
     else None
 
 (* ------------------------------------------------------------------ *)

@@ -7,6 +7,6 @@
     agreement, [Some message] naming the first divergence. *)
 
 val check_bitset : Rr_util.Rng.t -> string option
-val check_indexed_heap : Rr_util.Rng.t -> string option
+val check_workspace_heap : Rr_util.Rng.t -> string option
 val check_pairing_heap : Rr_util.Rng.t -> string option
 val check_union_find : Rr_util.Rng.t -> string option

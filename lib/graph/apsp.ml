@@ -23,17 +23,16 @@ let johnson ?enabled g ~weight =
   done;
   if !changed then None (* still relaxing after n rounds: negative cycle *)
   else begin
-    let reduced e = weight e +. h.(Digraph.src g e) -. h.(Digraph.dst g e) in
+    let reduced =
+      Array.init m (fun e ->
+          Float.max 0.0 (weight e +. h.(Digraph.src g e) -. h.(Digraph.dst g e)))
+    in
     (* One workspace shared across the n sources: each row is materialised
        before the next search reuses the scratch arrays. *)
     let ws = Rr_util.Workspace.create ~capacity:n () in
     let dist =
       Array.init n (fun s ->
-          let t =
-            Dijkstra.tree ~enabled ~workspace:ws g
-              ~weight:(fun e -> Float.max 0.0 (reduced e))
-              ~source:s
-          in
+          let t = Dijkstra.tree ~enabled ~workspace:ws g ~weight:reduced ~source:s in
           Array.init n (fun v ->
               let d = Dijkstra.dist t v in
               if Float.equal d infinity then infinity else d -. h.(s) +. h.(v)))

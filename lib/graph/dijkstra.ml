@@ -35,6 +35,8 @@ let dists t =
 let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
   let n = Digraph.n_nodes g in
   if source < 0 || source >= n then invalid_arg "Dijkstra: source out of range";
+  if Array.length weight < Digraph.n_edges g then
+    invalid_arg "Dijkstra: weight array shorter than the edge count";
   let t0 = Obs.start obs in
   let ws =
     match workspace with
@@ -46,28 +48,25 @@ let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
       Workspace.create ~capacity:n ()
   in
   Workspace.reset ws n;
-  let heap = Workspace.heap ws n in
   let enabled = match enabled with None -> fun _ -> true | Some f -> f in
+  let target = match target with Some t -> t | None -> -1 in
   ignore (Workspace.relax ws source 0.0 (-1) : bool);
-  let pops = ref 0 and inserts = ref 1 in
-  let exception Done in
-  (try
-     while not (Rr_util.Indexed_heap.is_empty heap) do
-       let u = Rr_util.Indexed_heap.pop_min_key heap in
-       let du = Workspace.dist ws u in
-       incr pops;
-       if (match target with Some t -> u = t | None -> false) then raise Done;
-       let edges = Digraph.out_edges g u in
-       for i = 0 to Array.length edges - 1 do
-         let e = edges.(i) in
-         if enabled e then begin
-           let w = weight e in
-           if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-           if Workspace.relax ws (Digraph.dst g e) (du +. w) e then incr inserts
-         end
-       done
-     done
-   with Done -> ());
+  let pops = ref 0 and inserts = ref 1 and settled = ref false in
+  while (not !settled) && Workspace.heap_size ws > 0 do
+    let u = Workspace.pop_min ws in
+    incr pops;
+    if u = target then settled := true
+    else begin
+      let edges = Digraph.out_edges g u in
+      for i = 0 to Array.length edges - 1 do
+        let e = edges.(i) in
+        if enabled e then begin
+          if weight.(e) < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+          if Workspace.relax_edge ws u (Digraph.dst g e) weight e e then incr inserts
+        end
+      done
+    end
+  done;
   Obs.add obs "heap.pop" !pops;
   Obs.add obs "heap.insert" !inserts;
   Obs.stop obs "kernel.dijkstra" t0;
@@ -91,7 +90,7 @@ let path_to g t node =
   end
 
 let path_cost ~weight path =
-  List.fold_left (fun acc e -> acc +. weight e) 0.0 path
+  List.fold_left (fun acc e -> acc +. weight.(e)) 0.0 path
 
 let shortest_path ?enabled ?obs ?workspace g ~weight ~source ~target =
   let t = run ?enabled ?obs ?workspace g ~weight ~source ~target:(Some target) in

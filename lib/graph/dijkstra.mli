@@ -4,8 +4,14 @@
     Section 3.3, the first pass of Suurballe's algorithm (whose second
     pass runs the same loop on an implicit residual graph), and the
     layered-wavelength-graph search all reduce to this routine.  Uses the
-    indexed binary heap from {!Rr_util.Indexed_heap}
+    indexed binary heap inside {!Rr_util.Workspace}
     ([O((n + m) log n)]).
+
+    Edge weights come as a [float array] indexed by edge id ([weight.(e)]
+    is the weight of edge [e]; entries of disabled edges are never read).
+    The per-edge relax then reads an unboxed float instead of calling a
+    closure that returns a boxed one.  Callers holding a weight function
+    build the array once per call ([Array.init (Digraph.n_edges g) w]).
 
     All entry points accept an optional {!Rr_util.Workspace.t}.  With a
     workspace, the search reuses its scratch arrays instead of allocating
@@ -28,7 +34,7 @@ val run :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int option ->
   tree
@@ -42,7 +48,7 @@ val tree :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   tree
 (** Full shortest-path tree ([run] with no target). *)
@@ -68,7 +74,7 @@ val shortest_path :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   (int list * float) option
@@ -78,4 +84,4 @@ val shortest_path :
 val path_to : Digraph.t -> tree -> int -> int list option
 (** Extract the edge-id path from the tree source to a node. *)
 
-val path_cost : weight:(int -> float) -> int list -> float
+val path_cost : weight:float array -> int list -> float

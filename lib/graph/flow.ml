@@ -101,50 +101,41 @@ let min_cost_flow ?enabled g ~weight ~capacity ~source ~target ~amount =
   let shipped = ref 0 in
   let total_cost = ref 0.0 in
   let feasible = ref true in
+  let ws = Rr_util.Workspace.create ~capacity:n () in
+  let dist = Rr_util.Workspace.dist ws and pred = Rr_util.Workspace.pred ws in
   while !shipped < amount && !feasible do
     (* Dijkstra over reduced costs. *)
-    let dist = Array.make n infinity in
-    let pred = Array.make n (-1) in
-    let heap = Rr_util.Indexed_heap.create n in
-    dist.(source) <- 0.0;
-    Rr_util.Indexed_heap.insert heap source 0.0;
-    let rec loop () =
-      match Rr_util.Indexed_heap.pop_min heap with
-      | None -> ()
-      | Some (u, du) ->
-        Array.iter
-          (fun a ->
-            if r.cap.(a) > 0 then begin
-              let v = arc_dst r a in
-              let rc = r.cost.(a) +. potential.(u) -. potential.(v) in
-              let rc = Float.max rc 0.0 in
-              let dv = du +. rc in
-              if dv < dist.(v) then begin
-                dist.(v) <- dv;
-                pred.(v) <- a;
-                Rr_util.Indexed_heap.insert_or_decrease heap v dv
-              end
-            end)
-          r.adj.(u);
-        loop ()
-    in
-    loop ();
-    if Float.equal dist.(target) infinity then feasible := false
+    Rr_util.Workspace.reset ws n;
+    ignore (Rr_util.Workspace.relax ws source 0.0 (-1) : bool);
+    while Rr_util.Workspace.heap_size ws > 0 do
+      let u = Rr_util.Workspace.pop_min ws in
+      let du = dist u in
+      Array.iter
+        (fun a ->
+          if r.cap.(a) > 0 then begin
+            let v = arc_dst r a in
+            let rc = r.cost.(a) +. potential.(u) -. potential.(v) in
+            let rc = Float.max rc 0.0 in
+            ignore (Rr_util.Workspace.relax ws v (du +. rc) a : bool)
+          end)
+        r.adj.(u)
+    done;
+    if Float.equal (dist target) infinity then feasible := false
     else begin
       for v = 0 to n - 1 do
-        if dist.(v) < infinity then potential.(v) <- potential.(v) +. dist.(v)
+        if dist v < infinity then potential.(v) <- potential.(v) +. dist v
       done;
       let rec bottleneck v acc =
         if v = source then acc
         else begin
-          let a = pred.(v) in
+          let a = pred v in
           bottleneck (arc_dst r (a lxor 1)) (min acc r.cap.(a))
         end
       in
       let f = min (bottleneck target max_int) (amount - !shipped) in
       let rec push v =
         if v <> source then begin
-          let a = pred.(v) in
+          let a = pred v in
           r.cap.(a) <- r.cap.(a) - f;
           r.cap.(a lxor 1) <- r.cap.(a lxor 1) + f;
           total_cost := !total_cost +. (float_of_int f *. r.cost.(a));

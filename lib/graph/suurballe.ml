@@ -1,6 +1,5 @@
 module Obs = Rr_obs.Obs
 module Workspace = Rr_util.Workspace
-module Heap = Rr_util.Indexed_heap
 
 (* Decompose the cancelled union of two s-t paths (a balanced arc set,
    ascending edge ids) into two simple s-t paths.  A greedy walk from s
@@ -34,8 +33,7 @@ let decompose g ~weight ~source ~target kept =
   in
   let q1 = extract () in
   let q2 = extract () in
-  let total = Path.cost ~weight q1 +. Path.cost ~weight q2 in
-  ((q1, q2), total)
+  ((q1, q2), Dijkstra.path_cost ~weight q1 +. Dijkstra.path_cost ~weight q2)
 
 (* Cancel opposite arcs of two paths: the symmetric difference of their
    edge sets, ascending, as {!decompose} takes it. *)
@@ -55,20 +53,18 @@ let cancel p1 p2 =
    never reached have no residual arcs.  Returns [inserts] plus the
    number of heap inserts. *)
 (* lint: no-alloc *)
-let rec scan_residual ws g enabled weight u du back edges i inserts =
+let rec scan_residual ws g enabled weight u back edges i inserts =
   if back >= 0 && (i = Array.length edges || back < edges.(i)) then
-    let added = Workspace.relax ws (Digraph.src g back) (du +. 0.0) ((2 * back) + 1) in
-    scan_residual ws g enabled weight u du (-1) edges i (inserts + Bool.to_int added)
+    let added =
+      Workspace.relax ws (Digraph.src g back) (Workspace.dist ws u +. 0.0) ((2 * back) + 1)
+    in
+    scan_residual ws g enabled weight u (-1) edges i (inserts + Bool.to_int added)
   else if i = Array.length edges then inserts
   else begin
     let e = edges.(i) in
     let v = Digraph.dst g e in
-    let added =
-      enabled e
-      && Workspace.path_in ws v <> e
-      && Workspace.relax_reduced ws u v du (weight e) (2 * e)
-    in
-    scan_residual ws g enabled weight u du back edges (i + 1) (inserts + Bool.to_int added)
+    let added = enabled e && Workspace.relax_reduced ws u v weight e (2 * e) in
+    scan_residual ws g enabled weight u back edges (i + 1) (inserts + Bool.to_int added)
   end
 
 (* Shortest source-target path in the residual graph, as the edge ids of
@@ -79,17 +75,16 @@ let residual_path ~obs ~reused ws g ~enabled ~weight ~source ~target =
   if reused then Obs.add obs "workspace.hit" 1 else Obs.add obs "workspace.miss" 1;
   let n = Digraph.n_nodes g in
   Workspace.reset ws n;
-  let heap = Workspace.heap ws n in
   ignore (Workspace.relax ws source 0.0 (-1) : bool);
   let pops = ref 0 and inserts = ref 1 and settled = ref false in
-  while (not !settled) && not (Heap.is_empty heap) do
-    let u = Heap.pop_min_key heap in
+  while (not !settled) && Workspace.heap_size ws > 0 do
+    let u = Workspace.pop_min ws in
     incr pops;
     if u = target then settled := true
     else
       inserts :=
-        scan_residual ws g enabled weight u (Workspace.dist ws u)
-          (Workspace.path_in ws u) (Digraph.out_edges g u) 0 !inserts
+        scan_residual ws g enabled weight u (Workspace.path_in ws u) (Digraph.out_edges g u) 0
+          !inserts
   done;
   Obs.add obs "heap.pop" !pops;
   Obs.add obs "heap.insert" !inserts;
@@ -150,8 +145,8 @@ let edge_disjoint_pair_paper ?enabled ?obs ?workspace g ~weight ~source ~target 
     for e = 0 to Digraph.n_edges g - 1 do
       if enabled e then
         if Hashtbl.mem on_p1 e then
-          add (Digraph.dst g e) (Digraph.src g e) e (-.weight e)
-        else add (Digraph.src g e) (Digraph.dst g e) e (weight e)
+          add (Digraph.dst g e) (Digraph.src g e) e (-.weight.(e))
+        else add (Digraph.src g e) (Digraph.dst g e) e weight.(e)
     done;
     let h = Digraph.freeze b in
     let edge_of = Array.of_list (List.rev !edges) in
@@ -181,7 +176,7 @@ let node_disjoint_pair ?enabled ?obs ?workspace g ~weight ~source ~target =
     end
   done;
   let h = Digraph.freeze b in
-  let w e = if e < n then 0.0 else weight orig_of.(e) in
+  let w = Array.init (Digraph.n_edges h) (fun e -> if e < n then 0.0 else weight.(orig_of.(e))) in
   (* Route from s_out to t_in so the endpoints' internal arcs are not
      (incorrectly) required to be disjoint. *)
   match
@@ -191,5 +186,4 @@ let node_disjoint_pair ?enabled ?obs ?workspace g ~weight ~source ~target =
   | Some ((p1, p2), _) ->
     let strip p = List.filter_map (fun e -> if e < n then None else Some orig_of.(e)) p in
     let q1 = strip p1 and q2 = strip p2 in
-    let total = Path.cost ~weight q1 +. Path.cost ~weight q2 in
-    Some ((q1, q2), total)
+    Some ((q1, q2), Dijkstra.path_cost ~weight q1 +. Dijkstra.path_cost ~weight q2)

@@ -5,7 +5,10 @@
     This is the optimisation engine behind all three auxiliary-graph
     constructions in the paper: [Find_Two_Paths] (Section 3.3.2) is exactly
     {!edge_disjoint_pair} on [G'], and Sections 4.1/4.2 run it on [G_c] /
-    [G_rc].  Weights must be non-negative.
+    [G_rc].  Weights must be non-negative.  They come as a [float array]
+    indexed by edge id, as {!Dijkstra.run} takes them: both passes read
+    [weight.(e)] directly, with no closure call and no boxed float per
+    arc.
 
     The returned paths are simple and mutually edge-disjoint; their order is
     unspecified.  The reported cost is the exact sum of the original weights
@@ -42,7 +45,7 @@ val edge_disjoint_pair :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option
@@ -53,7 +56,7 @@ val edge_disjoint_pair_paper :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option
@@ -70,7 +73,7 @@ val node_disjoint_pair :
   ?obs:Rr_obs.Obs.t ->
   ?workspace:Rr_util.Workspace.t ->
   Digraph.t ->
-  weight:(int -> float) ->
+  weight:float array ->
   source:int ->
   target:int ->
   ((int list * int list) * float) option

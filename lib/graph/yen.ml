@@ -2,7 +2,8 @@ let k_shortest ?enabled g ~weight ~source ~target ~k =
   if k <= 0 then []
   else begin
     let enabled0 = match enabled with None -> fun _ -> true | Some f -> f in
-    match Dijkstra.shortest_path ~enabled:enabled0 g ~weight ~source ~target with
+    let weights = Array.init (Digraph.n_edges g) weight in
+    match Dijkstra.shortest_path ~enabled:enabled0 g ~weight:weights ~source ~target with
     | None -> []
     | Some (p0, c0) ->
       let accepted = ref [ (p0, c0) ] in
@@ -52,7 +53,7 @@ let k_shortest ?enabled g ~weight ~source ~target ~k =
             && (not (Hashtbl.mem root_nodes (Digraph.src g e)))
             && not (Hashtbl.mem root_nodes (Digraph.dst g e))
           in
-          match Dijkstra.shortest_path ~enabled g ~weight ~source:spur_node ~target with
+          match Dijkstra.shortest_path ~enabled g ~weight:weights ~source:spur_node ~target with
           | None -> ()
           | Some (spur, spur_cost) ->
             add_candidate (root @ spur) (root_cost +. spur_cost)

@@ -49,11 +49,53 @@ let full w =
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
+(* SWAR popcount of one word (at most 62 bits set, so every partial sum
+   fits its field and the final byte sum fits 7 bits). *)
+(* lint: no-alloc *)
 let popcount x =
-  let rec go x acc = if x = 0 then acc else go (x lsr 1) (acc + (x land 1)) in
-  go x 0
+  let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+  let x = (x + (x lsr 4)) land 0x0F0F_0F0F_0F0F_0F0F in
+  let x = x + (x lsr 8) in
+  let x = x + (x lsr 16) in
+  (x + (x lsr 32)) land 0x7F
 
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
+(* lint: no-alloc *)
+let rec count_words words i acc =
+  if i = Array.length words then acc else count_words words (i + 1) (acc + popcount words.(i))
+
+(* lint: no-alloc *)
+let cardinal t = count_words t.words 0 0
+
+let word_mask = (1 lsl bits_per_word) - 1
+
+(* lint: no-alloc *)
+let word b k = if k >= 0 && k < Array.length b.words then b.words.(k) else 0
+
+(* Word [k] of [b] shifted down by [d] elements (up for negative [d]):
+   bit j of the result is element [62k + j + d] of [b]. *)
+(* lint: no-alloc *)
+let shifted_word b k d =
+  if d >= 0 then begin
+    let q = d / bits_per_word and r = d mod bits_per_word in
+    if r = 0 then word b (k + q)
+    else (word b (k + q) lsr r) lor ((word b (k + q + 1) lsl (bits_per_word - r)) land word_mask)
+  end
+  else begin
+    let q = -d / bits_per_word and r = -d mod bits_per_word in
+    if r = 0 then word b (k - q)
+    else ((word b (k - q) lsl r) land word_mask) lor (word b (k - q - 1) lsr (bits_per_word - r))
+  end
+
+(* lint: no-alloc *)
+let rec count_shifted a b d k acc =
+  if k = Array.length a.words then acc
+  else count_shifted a b d (k + 1) (acc + popcount (a.words.(k) land shifted_word b k d))
+
+(* lint: no-alloc *)
+let count_inter_shifted a b d =
+  if a.width <> b.width then invalid_arg "Bitset.count_inter_shifted: width mismatch";
+  count_shifted a b d 0 0
 
 let of_list w l = List.fold_left add (create w) l
 

@@ -13,7 +13,15 @@ val create : int -> t
 
 val width : t -> int
 val is_empty : t -> bool
+
 val cardinal : t -> int
+(** Number of elements: a constant-time popcount per 62-bit word,
+    allocation-free. *)
+
+val count_inter_shifted : t -> t -> int -> int
+(** [count_inter_shifted a b d] is [|{i ∈ a : i + d ∈ b}|], counted a word
+    at a time without allocating ([d] may be negative; [d = 0] gives
+    [|a ∩ b|]).  Raises [Invalid_argument] on a width mismatch. *)
 
 val mem : t -> int -> bool
 val add : t -> int -> t

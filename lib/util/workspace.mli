@@ -1,17 +1,25 @@
 (** Reusable shortest-path scratch space.
 
     Every Dijkstra-style search in the repository needs the same transient
-    state: a distance array, a predecessor array and an indexed heap, all
-    sized by the state count of the search ([n] for plain graphs, [nW] or
-    [nWK] for layered wavelength graphs).  Allocating them per request is
-    the dominant constant factor of a long-lived router, so a workspace
-    owns them once and rents them out per search.
+    state: a distance array, a predecessor array and an indexed binary
+    min-heap, all sized by the state count of the search ([n] for plain
+    graphs, [nW] or [nWK] for layered wavelength graphs).  Allocating them
+    per request is the dominant constant factor of a long-lived router, so
+    a workspace owns them once and rents them out per search.
+
+    The heap lives inside the workspace: {!relax} records an improved
+    distance and inserts or decreases the state's heap entry in the same
+    step, and {!pop_min} removes the state of least distance.  Both sift
+    in this module, next to the arrays they touch, and allocate nothing.
+    The sifts make exactly the comparisons of a textbook swap-based
+    binary heap, so the heap layout and the pop order among equal
+    distances are that heap's.
 
     Clearing is O(1): entries are stamped with a generation counter, and
-    {!reset} simply bumps the generation — a reused [float array] never
-    needs a full [Array.fill] on the hot path.  An entry whose stamp does
-    not match the current generation reads as unset ([infinity] distance,
-    [-1] predecessor).
+    {!reset} simply bumps the generation and empties the heap — a reused
+    [float array] never needs a full [Array.fill] on the hot path.  An
+    entry whose stamp does not match the current generation reads as
+    unset ([infinity] distance, [-1] predecessor, not queued).
 
     A workspace additionally carries an independent generation-stamped
     integer set ({!mark_reset} / {!mark} / {!marked}), used to test
@@ -38,8 +46,9 @@ val create : ?capacity:int -> unit -> t
 
 val reset : t -> int -> unit
 (** [reset ws n] begins a new search over states [0 .. n-1]: grows the
-    arrays if needed and logically clears distances and predecessors in
-    O(1).  Raises [Invalid_argument] if [n < 0]. *)
+    arrays if needed, logically clears distances and predecessors, and
+    empties the heap, all in O(1).  Raises [Invalid_argument] if
+    [n < 0]. *)
 
 val dist : t -> int -> float
 (** Distance of a state, or [infinity] if unset since the last {!reset}. *)
@@ -47,23 +56,35 @@ val dist : t -> int -> float
 val pred : t -> int -> int
 (** Predecessor code of a state, or [-1] if unset. *)
 
-val is_set : t -> int -> bool
-
-val set : t -> int -> float -> int -> unit
-(** [set ws state d p] records distance [d] and predecessor code [p]. *)
-
 val relax : t -> int -> float -> int -> bool
 (** [relax ws state d p]: when [d] improves the state's distance, records
-    [d] and [p] (as {!set}) and inserts or decreases the state in the
-    workspace's heap (the one {!heap} last returned).  Whether it did. *)
+    [d] and predecessor code [p] and inserts the state into the heap at
+    priority [d] (or decreases its entry there; a state popped earlier in
+    the search is inserted again).  Whether it did.  Allocation-free, but
+    a caller in another module boxes the float it passes; the per-arc
+    steps of a search use {!relax_edge} or {!relax_reduced}. *)
+
+val relax_edge : t -> int -> int -> float array -> int -> int -> bool
+(** [relax_edge ws u v weight e p] is [relax ws v (dist ws u +. weight.(e)) p]
+    for arc [e : u -> v] out of a state [u] already set in this search
+    (a popped state).  The candidate distance never leaves an unboxed
+    register: the per-arc step of a search allocates nothing. *)
+
+val pop_min : t -> int
+(** Remove the queued state of least distance and return it (its
+    distance is {!dist}).  Allocation-free.  Raises [Invalid_argument] on
+    an empty heap. *)
+
+val heap_size : t -> int
+(** Number of states queued. *)
+
+val queued : t -> int -> bool
+(** Whether a state is queued (relaxed since the last {!reset} and not
+    popped since). *)
 
 val generation : t -> int
 (** Current generation, bumped by every {!reset}.  Search results that
     alias the workspace record it to detect staleness. *)
-
-val heap : t -> int -> Indexed_heap.t
-(** [heap ws n] returns the workspace's heap, emptied, with capacity at
-    least [n].  The heap is valid until the next call to [heap]. *)
 
 val mark_reset : t -> int -> unit
 (** Begin a new marked set over ids [0 .. n-1] (O(1) clear).  Independent
@@ -79,12 +100,13 @@ val save_potentials : t -> int -> unit
     clears their path slots to [-1].  O(n).  Raises [Invalid_argument]
     when [n] is negative or beyond the arrays {!reset} has sized. *)
 
-val relax_reduced : t -> int -> int -> float -> float -> int -> bool
-(** [relax_reduced ws u v du w p] relaxes arc [u -> v] of weight [w] out
-    of a state at distance [du] under the saved potentials: {!relax} [v]
-    with [du +. max (w +. π u -. π v) 0], π being the potentials (the
-    clamp absorbs rounding below zero).  A [v] of infinite potential is
-    never relaxed. *)
+val relax_reduced : t -> int -> int -> float array -> int -> int -> bool
+(** [relax_reduced ws u v weight e p] relaxes arc [e : u -> v] out of the
+    popped state [u] under the saved potentials: {!relax} [v] with
+    [dist u +. max (weight.(e) +. π u -. π v) 0], π being the potentials
+    (the clamp absorbs rounding below zero).  A [v] of infinite potential
+    is never relaxed, nor is [e] when it is [v]'s path slot (a path arc
+    is residual only reversed).  Allocation-free, like {!relax_edge}. *)
 
 val set_path_in : t -> int -> int -> unit
 (** [set_path_in ws v e] records arc [e] as the path arc entering [v]

@@ -43,52 +43,67 @@ let network t = t.net
 let last_stats t = t.stats
 
 (* Mean conversion cost over residual wavelength pairs, identical bit for
-   bit to {!Auxiliary.mean_conversion} but using the precomputed successor
-   lists for [Range]/[Table] converters: per available in-wavelength the
-   allowed out-wavelengths are enumerated ascending (identity merged in at
-   its sorted position), which is exactly the subsequence of the fresh
-   construction's dense [avail_in x avail_out] loop that contributes to
-   the sum — same additions, same order, same bits — at O(|avail| * d)
-   instead of O(W^2). *)
-let mean_conversion_resid net v avail_in avail_out =
+   bit to {!Auxiliary.mean_conversion}, which adds [Conversion.cost] over
+   the dense [avail_in x avail_out] loop: a cost [c] per allowed pair and
+   [0.0] per identity pair.  The sum never holds [-0.0] (it starts at
+   [+0.0], and [+0.0 +. -0.0 = +0.0]), so the identity additions change no
+   bits and only the allowed non-identity costs, in loop order, matter.
+
+   - [Range (r, c)]: every allowed non-identity pair costs the same [c],
+     so the sum is [c] added [k_c] times from [0.0]; [k_c] and the identity
+     count are word-parallel shifted-intersection counts.
+   - [Full c]: the closed form, on the same counts.
+   - [Table]: per available in-wavelength, its precomputed successors in
+     ascending order — the contributing subsequence of the dense loop. *)
+let range_mean avail_in avail_out r c =
+  let r = min r (Bitset.width avail_in - 1) in
+  let k_c = ref 0 in
+  for d = 1 to r do
+    k_c :=
+      !k_c
+      + Bitset.count_inter_shifted avail_in avail_out d
+      + Bitset.count_inter_shifted avail_in avail_out (-d)
+  done;
+  let k = Bitset.count_inter_shifted avail_in avail_out 0 + !k_c in
+  if k = 0 then None
+  else begin
+    let sum = ref 0.0 in
+    for _ = 1 to !k_c do
+      sum := !sum +. c
+    done;
+    Some (!sum /. float_of_int k)
+  end
+
+let table_mean net v avail_in avail_out =
+  let k = ref 0 and sum = ref 0.0 in
+  for la = 0 to Bitset.width avail_in - 1 do
+    if Bitset.mem avail_in la then begin
+      let qs, cs = Network.conv_successors net v la in
+      for i = 0 to Array.length qs - 1 do
+        if Bitset.mem avail_out qs.(i) then begin
+          incr k;
+          sum := !sum +. cs.(i)
+        end
+      done;
+      if Bitset.mem avail_out la then incr k
+    end
+  done;
+  if !k = 0 then None else Some (!sum /. float_of_int !k)
+
+let mean_conversion net v avail_in avail_out =
   match Network.converter net v with
   | Conversion.No_conversion ->
-    if Bitset.is_empty (Bitset.inter avail_in avail_out) then None else Some 0.0
+    if Bitset.count_inter_shifted avail_in avail_out 0 = 0 then None else Some 0.0
   | Conversion.Full c ->
     let a = Bitset.cardinal avail_in and b = Bitset.cardinal avail_out in
     if a = 0 || b = 0 then None
     else begin
-      let common = Bitset.cardinal (Bitset.inter avail_in avail_out) in
+      let common = Bitset.count_inter_shifted avail_in avail_out 0 in
       let k = float_of_int (a * b) in
       Some (c *. (k -. float_of_int common) /. k)
     end
-  | Conversion.Range _ | Conversion.Table _ ->
-    let k = ref 0 and sum = ref 0.0 in
-    Bitset.iter
-      (fun la ->
-        let identity () =
-          (* Conversion.cost is [Some 0.0] on the diagonal for every spec. *)
-          if Bitset.mem avail_out la then begin
-            incr k;
-            sum := !sum +. 0.0
-          end
-        in
-        let qs, cs = Network.conv_successors net v la in
-        let id_done = ref false in
-        for i = 0 to Array.length qs - 1 do
-          let q = qs.(i) in
-          if q > la && not !id_done then begin
-            identity ();
-            id_done := true
-          end;
-          if Bitset.mem avail_out q then begin
-            incr k;
-            sum := !sum +. cs.(i)
-          end
-        done;
-        if not !id_done then identity ())
-      avail_in;
-    if !k = 0 then None else Some (!sum /. float_of_int !k)
+  | Conversion.Range (r, c) -> range_mean avail_in avail_out r c
+  | Conversion.Table _ -> table_mean net v avail_in avail_out
 
 let gc_weight t e =
   let net = t.net in
@@ -106,9 +121,7 @@ let recompute_conv t recomputed a =
     if t.link_ok.(e_in) && t.link_ok.(e_out) then begin
       let v = match t.kind.(a) with Auxiliary.Convert v -> v | _ -> assert false in
       match
-        mean_conversion_resid t.net v
-          (Network.available t.net e_in)
-          (Network.available t.net e_out)
+        mean_conversion t.net v (Network.available t.net e_in) (Network.available t.net e_out)
       with
       | Some w ->
         t.w_prime.(a) <- w;
@@ -135,7 +148,7 @@ let refresh_link t recomputed e =
     incr recomputed;
     let avail = Network.available net e in
     let k = Bitset.cardinal avail in
-    let sum = Bitset.fold (fun l acc -> acc +. Network.weight net e l) avail 0.0 in
+    let sum = Network.weight_sum net e avail in
     t.w_prime.(ta) <- sum /. float_of_int k;
     t.w_rc.(ta) <- sum /. float_of_int (Bitset.cardinal (Network.lambdas net e));
     t.w_gc.(ta) <- gc_weight t e
@@ -182,10 +195,7 @@ let create net =
               (* Structural feasibility over the full wavelength sets: a
                  superset of feasibility under any residual state (removing
                  wavelengths can only remove allowed pairs). *)
-              match
-                mean_conversion_resid net v (Network.lambdas net e)
-                  (Network.lambdas net e')
-              with
+              match mean_conversion net v (Network.lambdas net e) (Network.lambdas net e') with
               | Some _ ->
                 let a = add (in_node e) (out_node e') (Auxiliary.Convert v) e e' in
                 conv_lists.(e) <- a :: conv_lists.(e);

@@ -47,7 +47,9 @@ type sync_stats = {
 
 val create : Network.t -> t
 (** Build the superset graph and compute all weights for the network's
-    current residual state.  O(m·W + conversion-arc count · W). *)
+    current residual state.  O(m·W + conversion-arc count · W/62) for
+    [No_conversion], [Full] and [Range] converters (see
+    {!mean_conversion}). *)
 
 val network : t -> Network.t
 (** The network the cache is bound to.  The [?aux_cache] entry points
@@ -60,7 +62,26 @@ val sync : ?obs:Rr_obs.Obs.t -> t -> sync_stats
     conversion arcs and tap activity of every changed link.  When more
     than half the links changed, falls back to a full recompute.  Records
     a [stage.aux_delta] span and [aux.cache.hit] / [aux.cache.rebuild] /
-    [aux.cache.links_touched] counters on [obs]. *)
+    [aux.cache.links_touched] counters on [obs].
+
+    {b Cost.}  O(m) for the fingerprint scan, plus per changed link an
+    O(W) traversal refresh and one {!mean_conversion} per incident
+    conversion arc, each on two freshly computed residual sets.  For
+    [Range (r, _)] converters the mean costs [2r + 1] shifted-intersection
+    counts of ⌈W/62⌉ words each and no allocation beyond its result: the
+    conversion-arc refresh, once most of a sync, no longer dominates it.
+    (Caching the residual sets per link instead measured slower and
+    raised peak memory: every cached set is promoted out of the minor
+    heap.) *)
+
+val mean_conversion :
+  Network.t -> int -> Rr_util.Bitset.t -> Rr_util.Bitset.t -> float option
+(** [mean_conversion net v avail_in avail_out]: the weight of the
+    conversion arc at node [v] between links with residual sets
+    [avail_in] and [avail_out], bit for bit {!Auxiliary.mean_conversion}
+    (the dense oracle).  [No_conversion], [Full] and [Range] converters
+    take word-parallel counts ({!Rr_util.Bitset.count_inter_shifted});
+    [Table] converters walk the precomputed successor lists. *)
 
 val last_stats : t -> sync_stats
 (** Stats of the most recent {!sync} (zeros before the first). *)

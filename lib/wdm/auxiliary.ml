@@ -244,7 +244,7 @@ let links_of_path t path =
 
 let disjoint_pair ?obs ?workspace ?enabled t =
   Rr_graph.Suurballe.edge_disjoint_pair ?enabled ?obs ?workspace t.graph
-    ~weight:(fun a -> t.weight.(a))
+    ~weight:t.weight
     ~source:t.source ~target:t.sink
 
 let stats t =

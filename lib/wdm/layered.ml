@@ -1,5 +1,4 @@
 module Bitset = Rr_util.Bitset
-module Heap = Rr_util.Indexed_heap
 module Workspace = Rr_util.Workspace
 module Obs = Rr_obs.Obs
 
@@ -56,14 +55,13 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
       Workspace.create ~capacity:n_states ()
   in
   Workspace.reset ws n_states;
-  let heap = Workspace.heap ws n_states in
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
   let relax state d p = if Workspace.relax ws state d p then incr inserts in
   relax super_source 0.0 p_start;
   let graph = Network.graph net in
   let settled_sink = ref false in
-  while (not !settled_sink) && not (Heap.is_empty heap) do
-    let state = Heap.pop_min_key heap in
+  while (not !settled_sink) && Workspace.heap_size ws > 0 do
+    let state = Workspace.pop_min ws in
     let d = Workspace.dist ws state in
     incr pops;
     if state = super_sink then settled_sink := true
@@ -182,14 +180,13 @@ let optimal_bounded ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace
       Workspace.create ~capacity:n_states ()
   in
   Workspace.reset ws n_states;
-  let heap = Workspace.heap ws n_states in
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
   let relax state d p = if Workspace.relax ws state d p then incr inserts in
   relax super_source 0.0 p_start;
   let graph = Network.graph net in
   let settled_sink = ref false in
-  while (not !settled_sink) && not (Heap.is_empty heap) do
-    let state = Heap.pop_min_key heap in
+  while (not !settled_sink) && Workspace.heap_size ws > 0 do
+    let state = Workspace.pop_min ws in
     let d = Workspace.dist ws state in
     incr pops;
     if state = super_sink then settled_sink := true

@@ -178,6 +178,60 @@ let test_wrong_network_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* ------------------------------------------------------------------ *)
+(* Conversion mean: word-parallel counts vs the dense oracle            *)
+
+(* One node with converter [spec]; only its converter is read. *)
+let converter_net w spec =
+  Net.create ~n_nodes:2 ~n_wavelengths:w
+    ~links:
+      [ { Net.ls_src = 0; ls_dst = 1; ls_lambdas = List.init w Fun.id; ls_weight = (fun _ -> 1.0) } ]
+    ~converters:(fun _ -> spec)
+
+let random_table rng w =
+  Rr_wdm.Conversion.Table
+    (Array.init w (fun p ->
+         Array.init w (fun q ->
+             if p = q then Some 0.0
+             else if Rng.int rng 3 = 0 then None
+             else Some (Rng.float rng 300.0))))
+
+let random_resid rng w =
+  let density = Rng.uniform rng in
+  Rr_util.Bitset.of_list w (List.filter (fun _ -> Rng.uniform rng < density) (List.init w Fun.id))
+
+(* Widths above 62 take the multi-word path of the shifted counts. *)
+let test_mean_conversion_bits () =
+  let rng = Rng.create 4242 in
+  let bits = Option.map Int64.bits_of_float in
+  List.iter
+    (fun w ->
+      let c = Rng.float rng 300.0 in
+      let specs =
+        [
+          ("none", Rr_wdm.Conversion.No_conversion);
+          ("full", Rr_wdm.Conversion.Full c);
+          ("range 0", Rr_wdm.Conversion.Range (0, c));
+          ("range 1", Rr_wdm.Conversion.Range (1, c));
+          ("range 2", Rr_wdm.Conversion.Range (2, c));
+          ("range W", Rr_wdm.Conversion.Range (w, c));
+          ("table", random_table rng w);
+        ]
+      in
+      List.iter
+        (fun (label, spec) ->
+          let net = converter_net w spec in
+          for _ = 1 to 60 do
+            let a = random_resid rng w and b = random_resid rng w in
+            let fresh = Aux.mean_conversion net 0 a b and cached = Cache.mean_conversion net 0 a b in
+            if bits fresh <> bits cached then
+              Alcotest.failf "W=%d %s: cached mean %s, dense oracle %s" w label
+                (Option.fold ~none:"None" ~some:(Printf.sprintf "%h") cached)
+                (Option.fold ~none:"None" ~some:(Printf.sprintf "%h") fresh)
+          done)
+        specs)
+    [ 1; 16; 32; 62; 63; 100 ]
+
 let suite =
   [
     ( "wdm.aux_cache",
@@ -191,5 +245,7 @@ let suite =
         Alcotest.test_case "gc/grc views match fresh" `Quick test_gc_grc_views;
         Alcotest.test_case "foreign network rejected" `Quick
           test_wrong_network_rejected;
+        Alcotest.test_case "conversion mean = dense oracle bit for bit" `Quick
+          test_mean_conversion_bits;
       ] );
   ]

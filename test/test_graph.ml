@@ -34,8 +34,7 @@ let random_graph seed =
     end
   done;
   let g = Digraph.freeze b in
-  let w = Array.of_list (List.rev !weights) in
-  (g, fun e -> w.(e))
+  (g, Array.of_list (List.rev !weights))
 
 (* ------------------------------------------------------------------ *)
 (* Digraph                                                              *)
@@ -77,8 +76,7 @@ let test_digraph_bounds () =
 let diamond () =
   (* 0->1 (1), 0->2 (4), 1->2 (2), 1->3 (6), 2->3 (3) *)
   let g = Digraph.of_edges 4 [ (0, 1); (0, 2); (1, 2); (1, 3); (2, 3) ] in
-  let w = [| 1.0; 4.0; 2.0; 6.0; 3.0 |] in
-  (g, fun e -> w.(e))
+  (g, [| 1.0; 4.0; 2.0; 6.0; 3.0 |])
 
 let test_dijkstra_diamond () =
   let g, w = diamond () in
@@ -91,7 +89,7 @@ let test_dijkstra_diamond () =
 let test_dijkstra_unreachable () =
   let g = Digraph.of_edges 3 [ (0, 1) ] in
   check Alcotest.(option (pair (list int) (float 0.0))) "unreachable" None
-    (Dijkstra.shortest_path g ~weight:(fun _ -> 1.0) ~source:0 ~target:2)
+    (Dijkstra.shortest_path g ~weight:[| 1.0 |] ~source:0 ~target:2)
 
 let test_dijkstra_filtered () =
   let g, w = diamond () in
@@ -104,7 +102,7 @@ let test_dijkstra_negative_rejected () =
   let g = Digraph.of_edges 2 [ (0, 1) ] in
   Alcotest.check_raises "negative weight"
     (Invalid_argument "Dijkstra: negative edge weight") (fun () ->
-      ignore (Dijkstra.tree g ~weight:(fun _ -> -1.0) ~source:0))
+      ignore (Dijkstra.tree g ~weight:[| -1.0 |] ~source:0))
 
 let prop_dijkstra_vs_bellman_ford =
   QCheck.Test.make ~name:"dijkstra = bellman-ford on random graphs" ~count:150
@@ -112,7 +110,7 @@ let prop_dijkstra_vs_bellman_ford =
       let g, w = random_graph seed in
       let n = Digraph.n_nodes g in
       let t = Dijkstra.tree g ~weight:w ~source:0 in
-      let r = Bellman_ford.run g ~weight:w ~source:0 in
+      let r = Bellman_ford.run g ~weight:(Array.get w) ~source:0 in
       let ok = ref true in
       for v = 0 to n - 1 do
         if Float.abs (Dijkstra.dist t v -. r.dist.(v)) > 1e-6 then ok := false
@@ -223,8 +221,7 @@ let trap () =
      s->a(1) a->b(1) b->t(1)   spine
      s->b(3), a->t(3)          detours *)
   let g = Digraph.of_edges 4 [ (0, 1); (1, 2); (2, 3); (0, 2); (1, 3) ] in
-  let w = [| 1.0; 1.0; 1.0; 3.0; 3.0 |] in
-  (g, fun e -> w.(e))
+  (g, [| 1.0; 1.0; 1.0; 3.0; 3.0 |])
 
 let test_suurballe_trap () =
   let g, w = trap () in
@@ -255,11 +252,11 @@ let test_suurballe_no_pair () =
   check
     Alcotest.(option (pair (pair (list int) (list int)) (float 0.0)))
     "no pair" None
-    (Suurballe.edge_disjoint_pair g ~weight:(fun _ -> 1.0) ~source:0 ~target:2)
+    (Suurballe.edge_disjoint_pair g ~weight:[| 1.0; 1.0 |] ~source:0 ~target:2)
 
 let test_suurballe_parallel_edges () =
   let g = Digraph.of_edges 2 [ (0, 1); (0, 1) ] in
-  match Suurballe.edge_disjoint_pair g ~weight:(fun e -> float_of_int (e + 1)) ~source:0 ~target:1 with
+  match Suurballe.edge_disjoint_pair g ~weight:[| 1.0; 2.0 |] ~source:0 ~target:1 with
   | None -> Alcotest.fail "parallel pair expected"
   | Some ((p1, p2), cost) ->
     check Alcotest.(float 1e-9) "cost" 3.0 cost;
@@ -272,7 +269,7 @@ let prop_suurballe_matches_min_cost_flow =
       let n = Digraph.n_nodes g in
       let target = n - 1 in
       let s = Suurballe.edge_disjoint_pair g ~weight:w ~source:0 ~target in
-      let f = Flow.min_cost_disjoint_pair g ~weight:w ~source:0 ~target in
+      let f = Flow.min_cost_disjoint_pair g ~weight:(Array.get w) ~source:0 ~target in
       match (s, f) with
       | None, None -> true
       | Some ((p1, p2), c), Some c' ->
@@ -414,7 +411,7 @@ let all_simple_paths g ~source ~target =
 
 let test_yen_diamond () =
   let g, w = diamond () in
-  let paths = Yen.k_shortest g ~weight:w ~source:0 ~target:3 ~k:10 in
+  let paths = Yen.k_shortest g ~weight:(Array.get w) ~source:0 ~target:3 ~k:10 in
   check Alcotest.int "three simple paths" 3 (List.length paths);
   let costs = List.map snd paths in
   check Alcotest.(list (float 1e-9)) "sorted costs" [ 6.0; 7.0; 7.0 ] costs
@@ -443,7 +440,7 @@ let prop_yen_matches_brute_force =
       let target = n - 1 in
       let brute =
         all_simple_paths g ~source:0 ~target
-        |> List.map (fun p -> Dijkstra.path_cost ~weight:w p)
+        |> List.map (fun p -> Dijkstra.path_cost ~weight:wa p)
         |> List.sort compare
       in
       let yen =
@@ -464,7 +461,7 @@ let prop_yen_paths_simple_and_distinct =
     QCheck.small_int (fun seed ->
       let g, w = random_graph seed in
       let target = Digraph.n_nodes g - 1 in
-      let paths = Yen.k_shortest g ~weight:w ~source:0 ~target ~k:12 in
+      let paths = Yen.k_shortest g ~weight:(Array.get w) ~source:0 ~target ~k:12 in
       let edges = List.map fst paths in
       List.length (List.sort_uniq compare edges) = List.length edges
       && List.for_all (fun p -> Path.is_simple g ~source:0 p) edges)
@@ -476,7 +473,7 @@ module Apsp = Rr_graph.Apsp
 
 let test_apsp_diamond () =
   let g, w = diamond () in
-  match Apsp.johnson g ~weight:w with
+  match Apsp.johnson g ~weight:(Array.get w) with
   | None -> Alcotest.fail "no negative cycle here"
   | Some dist ->
     check Alcotest.(float 1e-9) "0->3" 6.0 dist.(0).(3);
@@ -502,7 +499,7 @@ let prop_johnson_matches_floyd_warshall =
   QCheck.Test.make ~name:"johnson = floyd-warshall on random graphs" ~count:100
     QCheck.small_int (fun seed ->
       let g, w = random_graph (seed + 71) in
-      match (Apsp.johnson g ~weight:w, Apsp.floyd_warshall g ~weight:w) with
+      match (Apsp.johnson g ~weight:(Array.get w), Apsp.floyd_warshall g ~weight:(Array.get w)) with
       | Some a, Some b ->
         let n = Digraph.n_nodes g in
         let ok = ref true in

@@ -95,9 +95,9 @@ let test_workspace_stale_tree_raises () =
     Rr_graph.Digraph.freeze b
   in
   let ws = Workspace.create () in
-  let t1 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:(fun _ -> 1.0) ~source:0 in
+  let t1 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:[| 1.0; 1.0 |] ~source:0 in
   checkb "fresh tree readable" true (Rr_graph.Dijkstra.dist t1 2 = 2.0);
-  let _t2 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:(fun _ -> 1.0) ~source:1 in
+  let _t2 = Rr_graph.Dijkstra.tree ~workspace:ws g ~weight:[| 1.0; 1.0 |] ~source:1 in
   Alcotest.check_raises "stale tree raises"
     (Invalid_argument "Dijkstra: tree is stale (its workspace ran another search)")
     (fun () -> ignore (Rr_graph.Dijkstra.dist t1 2))
@@ -107,12 +107,13 @@ let test_workspace_growth_preserves_isolation () =
      before the growth. *)
   let ws = Workspace.create ~capacity:2 () in
   Workspace.reset ws 2;
-  Workspace.set ws 1 5.0 7;
+  ignore (Workspace.relax ws 1 5.0 7 : bool);
   Workspace.reset ws 64;
   checkb "old entry invisible after growth" true (Workspace.dist ws 1 = infinity);
-  checkb "fresh slots unset" true (not (Workspace.is_set ws 63));
-  Workspace.set ws 63 1.5 3;
-  checkb "write after growth" true (Workspace.dist ws 63 = 1.5)
+  checkb "old entry not queued after growth" true (Workspace.heap_size ws = 0);
+  checkb "fresh slots unset" true (Workspace.pred ws 63 = -1 && not (Workspace.queued ws 63));
+  ignore (Workspace.relax ws 63 1.5 3 : bool);
+  checkb "write after growth" true (Workspace.dist ws 63 = 1.5 && Workspace.pop_min ws = 63)
 
 (* ------------------------------------------------------------------ *)
 (* Conversion successor lists                                           *)

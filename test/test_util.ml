@@ -1,7 +1,7 @@
 (* Unit and property tests for Rr_util. *)
 
 module Rng = Rr_util.Rng
-module Heap = Rr_util.Indexed_heap
+module Ws = Rr_util.Workspace
 module Pheap = Rr_util.Pairing_heap
 module Bitset = Rr_util.Bitset
 module Uf = Rr_util.Union_find
@@ -102,129 +102,190 @@ let test_rng_split_independent () =
   checkb "split stream differs" true (Rng.bits64 s <> Rng.bits64 t)
 
 (* ------------------------------------------------------------------ *)
-(* Indexed_heap                                                         *)
+(* Workspace heap                                                       *)
+
+(* Relax a batch of states from a fresh search. *)
+let heap_of prios =
+  let ws = Ws.create () in
+  Ws.reset ws (max 1 (List.length prios));
+  List.iteri (fun i p -> ignore (Ws.relax ws i p (-1) : bool)) prios;
+  ws
+
+(* Pop every queued state as (state, distance). *)
+let drain ws =
+  let rec go acc =
+    if Ws.heap_size ws = 0 then List.rev acc
+    else
+      let k = Ws.pop_min ws in
+      go ((k, Ws.dist ws k) :: acc)
+  in
+  go []
 
 let test_heap_basic () =
-  let h = Heap.create 10 in
-  checkb "empty" true (Heap.is_empty h);
-  Heap.insert h 3 5.0;
-  Heap.insert h 7 1.0;
-  Heap.insert h 1 3.0;
-  check Alcotest.int "cardinal" 3 (Heap.cardinal h);
-  check Alcotest.(option (pair int (float 0.0))) "min" (Some (7, 1.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "next" (Some (1, 3.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "last" (Some (3, 5.0)) (Heap.pop_min h);
-  check Alcotest.(option (pair int (float 0.0))) "drained" None (Heap.pop_min h)
+  let ws = Ws.create ~capacity:10 () in
+  Ws.reset ws 10;
+  checkb "empty" true (Ws.heap_size ws = 0);
+  List.iter (fun (k, p) -> checkb "inserted" true (Ws.relax ws k p (-1))) [ (3, 5.0); (7, 1.0); (1, 3.0) ];
+  check Alcotest.int "size" 3 (Ws.heap_size ws);
+  check Alcotest.(list (pair int (float 0.0))) "pops ascending" [ (7, 1.0); (1, 3.0); (3, 5.0) ] (drain ws);
+  checkb "popped states stay set" true (Ws.dist ws 7 = 1.0 && not (Ws.queued ws 7))
 
 let test_heap_decrease () =
-  let h = Heap.create 5 in
-  Heap.insert h 0 10.0;
-  Heap.insert h 1 20.0;
-  Heap.decrease h 1 5.0;
-  check Alcotest.(option (pair int (float 0.0))) "decreased wins" (Some (1, 5.0)) (Heap.pop_min h)
+  let ws = heap_of [ 10.0; 20.0 ] in
+  checkb "decrease accepted" true (Ws.relax ws 1 5.0 (-1));
+  check Alcotest.(list (pair int (float 0.0))) "decreased wins" [ (1, 5.0); (0, 10.0) ] (drain ws)
 
 let test_heap_rejects_increase () =
-  let h = Heap.create 5 in
-  Heap.insert h 0 1.0;
-  Alcotest.check_raises "increase rejected" (Invalid_argument "Indexed_heap.decrease: priority increase")
-    (fun () -> Heap.decrease h 0 2.0)
+  let ws = heap_of [ 1.0 ] in
+  checkb "increase rejected" false (Ws.relax ws 0 2.0 (-1));
+  check Alcotest.(list (pair int (float 0.0))) "priority kept" [ (0, 1.0) ] (drain ws)
 
 let test_heap_rejects_duplicate () =
-  let h = Heap.create 5 in
-  Heap.insert h 2 1.0;
-  Alcotest.check_raises "duplicate rejected"
-    (Invalid_argument "Indexed_heap.insert: key already queued") (fun () ->
-      Heap.insert h 2 3.0)
+  let ws = heap_of [ 1.0 ] in
+  checkb "equal priority rejected" false (Ws.relax ws 0 1.0 (-1));
+  check Alcotest.int "queued once" 1 (Ws.heap_size ws);
+  check Alcotest.int "popped" 0 (Ws.pop_min ws);
+  Alcotest.check_raises "pop past the end" (Invalid_argument "Workspace.pop_min: empty heap")
+    (fun () -> ignore (Ws.pop_min ws : int))
 
 let test_heap_insert_or_decrease () =
-  let h = Heap.create 5 in
-  Heap.insert_or_decrease h 0 5.0;
-  Heap.insert_or_decrease h 0 3.0;
-  Heap.insert_or_decrease h 0 9.0 (* no-op *);
-  check Alcotest.(option (pair int (float 0.0))) "kept min" (Some (0, 3.0)) (Heap.pop_min h)
+  let ws = heap_of [ 5.0 ] in
+  checkb "decrease" true (Ws.relax ws 0 3.0 (-1));
+  checkb "no-op" false (Ws.relax ws 0 9.0 (-1));
+  check Alcotest.(list (pair int (float 0.0))) "kept min" [ (0, 3.0) ] (drain ws);
+  checkb "popped state re-queued on improvement" true (Ws.relax ws 0 2.0 (-1));
+  check Alcotest.(list (pair int (float 0.0))) "popped again" [ (0, 2.0) ] (drain ws)
 
 let test_heap_clear () =
-  let h = Heap.create 4 in
-  Heap.insert h 0 1.0;
-  Heap.insert h 1 2.0;
-  Heap.clear h;
-  checkb "cleared" true (Heap.is_empty h);
-  Heap.insert h 0 3.0;
-  check Alcotest.(option (pair int (float 0.0))) "reusable" (Some (0, 3.0)) (Heap.pop_min h)
+  let ws = heap_of [ 1.0; 2.0 ] in
+  Ws.reset ws 4;
+  checkb "cleared" true (Ws.heap_size ws = 0 && not (Ws.queued ws 0));
+  ignore (Ws.relax ws 0 3.0 (-1) : bool);
+  check Alcotest.(list (pair int (float 0.0))) "reusable" [ (0, 3.0) ] (drain ws)
 
-(* Two heaps fed the same interleaving of inserts, decreases, pops and
-   clears (integer priorities, so ties are common): pop_min_key must
-   remove exactly the key pop_min removes, and raise on an empty heap. *)
-let test_heap_pop_min_key () =
+(* The swap-based binary heap the workspace's hole-moving sifts must
+   reproduce, comparison for comparison. *)
+module Swap_heap = struct
+  type t = { keys : int array; prio : float array; pos : int array; mutable size : int }
+
+  let create n = { keys = Array.make n 0; prio = Array.make n 0.0; pos = Array.make n (-1); size = 0 }
+
+  let swap h i j =
+    let ki = h.keys.(i) and kj = h.keys.(j) and pi = h.prio.(i) in
+    h.keys.(i) <- kj;
+    h.keys.(j) <- ki;
+    h.prio.(i) <- h.prio.(j);
+    h.prio.(j) <- pi;
+    h.pos.(kj) <- i;
+    h.pos.(ki) <- j
+
+  let rec sift_up h i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if h.prio.(i) < h.prio.(parent) then begin
+        swap h i parent;
+        sift_up h parent
+      end
+    end
+
+  let rec sift_down h i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let s = if l < h.size && h.prio.(l) < h.prio.(i) then l else i in
+    let s = if r < h.size && h.prio.(r) < h.prio.(s) then r else s in
+    if s <> i then begin
+      swap h i s;
+      sift_down h s
+    end
+
+  (* Insert, or lower a queued key's priority. *)
+  let push h k p =
+    if h.pos.(k) < 0 then begin
+      h.keys.(h.size) <- k;
+      h.pos.(k) <- h.size;
+      h.size <- h.size + 1
+    end;
+    h.prio.(h.pos.(k)) <- p;
+    sift_up h h.pos.(k)
+
+  let pop h =
+    let k = h.keys.(0) in
+    h.size <- h.size - 1;
+    if h.size > 0 then begin
+      h.keys.(0) <- h.keys.(h.size);
+      h.prio.(0) <- h.prio.(h.size);
+      h.pos.(h.keys.(0)) <- 0;
+      sift_down h 0
+    end;
+    h.pos.(k) <- -1;
+    k
+
+  (* Whether another queued key shares the minimum priority. *)
+  let min_tied h =
+    let rec go i = i < h.size && (Float.equal h.prio.(i) h.prio.(0) || go (i + 1)) in
+    go 1
+
+  let clear h =
+    for i = 0 to h.size - 1 do
+      h.pos.(h.keys.(i)) <- -1
+    done;
+    h.size <- 0
+end
+
+(* Priorities from three values force ties at every level of the heap:
+   only an identical layout pops the same state among equals. *)
+let test_heap_matches_swap_reference () =
   let rng = Rng.create 11 in
   let cap = 24 in
-  let a = Heap.create cap and b = Heap.create cap in
-  let pops = ref 0 in
+  let ws = Ws.create () and reference = Swap_heap.create cap in
+  Ws.reset ws cap;
+  let best = Array.make cap infinity in
+  let pops = ref 0 and ties = ref 0 in
   for step = 1 to 3000 do
     let k = Rng.int rng cap in
     match Rng.int rng 10 with
-    | 0 | 1 | 2 ->
-      let p = float_of_int (Rng.int rng 12) in
-      Heap.insert_or_decrease a k p;
-      Heap.insert_or_decrease b k p
-    | 3 | 4 ->
-      if Heap.mem a k then begin
-        let p = Heap.priority a k -. float_of_int (Rng.int rng 3) in
-        Heap.decrease a k p;
-        Heap.decrease b k p
+    | 0 | 1 | 2 | 3 ->
+      let p = float_of_int (Rng.int rng 3) -. float_of_int (step / 500) in
+      let improves = p < best.(k) in
+      checkb "relax reports an improvement" improves (Ws.relax ws k p (-1));
+      if improves then begin
+        best.(k) <- p;
+        Swap_heap.push reference k p
       end
-    | 5 when step mod 7 = 0 ->
-      Heap.clear a;
-      Heap.clear b
-    | _ -> (
-      match Heap.pop_min a with
-      | None -> checkb "both empty" true (Heap.is_empty b)
-      | Some (ka, _) ->
+    | 4 when step mod 7 = 0 ->
+      Ws.reset ws cap;
+      Swap_heap.clear reference;
+      Array.fill best 0 cap infinity
+    | _ ->
+      if reference.Swap_heap.size = 0 then checkb "both empty" true (Ws.heap_size ws = 0)
+      else begin
+        if Swap_heap.min_tied reference then incr ties;
         incr pops;
-        check Alcotest.int "same key" ka (Heap.pop_min_key b);
-        check Alcotest.int "same size" (Heap.cardinal a) (Heap.cardinal b))
+        check Alcotest.int "same state" (Swap_heap.pop reference) (Ws.pop_min ws);
+        check Alcotest.int "same size" reference.Swap_heap.size (Ws.heap_size ws)
+      end
   done;
   checkb "pops exercised" true (!pops > 500);
-  Heap.clear b;
-  Alcotest.check_raises "empty"
-    (Invalid_argument "Indexed_heap.pop_min_key: empty heap") (fun () ->
-      ignore (Heap.pop_min_key b : int))
+  checkb "ties exercised" true (!ties > 100)
 
 let prop_heap_sorts =
   QCheck.Test.make ~name:"indexed heap pops in sorted order" ~count:200
     QCheck.(list_of_size Gen.(int_range 0 60) (float_range 0.0 100.0))
-    (fun prios ->
-      let n = List.length prios in
-      let h = Heap.create (max n 1) in
-      List.iteri (fun i p -> Heap.insert h i p) prios;
-      let rec drain acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (_, p) -> drain (p :: acc)
-      in
-      let out = drain [] in
-      out = List.sort compare prios)
+    (fun prios -> List.map snd (drain (heap_of prios)) = List.sort compare prios)
 
 let prop_heap_decrease_key =
   QCheck.Test.make ~name:"decrease-key preserves heap order" ~count:200
     QCheck.(pair (list_of_size Gen.(int_range 1 40) (float_range 1.0 100.0)) int)
     (fun (prios, pick) ->
       let n = List.length prios in
-      let h = Heap.create n in
-      List.iteri (fun i p -> Heap.insert h i p) prios;
+      let ws = heap_of prios in
       let k = abs pick mod n in
       let old = List.nth prios k in
-      Heap.decrease h k (old /. 2.0);
+      ignore (Ws.relax ws k (old /. 2.0) (-1) : bool);
       let expected =
         List.mapi (fun i p -> if i = k then p /. 2.0 else p) prios
         |> List.sort compare
       in
-      let rec drain acc =
-        match Heap.pop_min h with
-        | None -> List.rev acc
-        | Some (_, p) -> drain (p :: acc)
-      in
-      drain [] = expected)
+      List.map snd (drain ws) = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Pairing_heap                                                         *)
@@ -335,6 +396,35 @@ let prop_bitset_model =
          = List.filter (fun x -> not (List.mem x ys')) xs'
       && Bitset.cardinal a = List.length xs')
 
+(* Widths at and around the 62-bit word boundary, and a three-word one. *)
+let boundary_widths = [ 0; 1; 61; 62; 63; 124; 200 ]
+
+(* A random subset of [0, width) at a random density (sometimes full). *)
+let random_subset rng width =
+  let density = if Rng.int rng 5 = 0 then 1.0 else Rng.uniform rng in
+  Bitset.of_list width (List.filter (fun _ -> Rng.uniform rng < density) (List.init width Fun.id))
+
+let prop_bitset_cardinal =
+  QCheck.Test.make ~name:"cardinal = fold count at word boundaries" ~count:300
+    QCheck.(pair (oneofl boundary_widths) small_int)
+    (fun (width, seed) ->
+      let s = random_subset (Rng.create seed) width in
+      Bitset.cardinal s = Bitset.fold (fun _ n -> n + 1) s 0)
+
+let prop_bitset_count_inter_shifted =
+  QCheck.Test.make ~name:"count_inter_shifted = fold count" ~count:300
+    QCheck.(pair (oneofl boundary_widths) small_int)
+    (fun (width, seed) ->
+      let rng = Rng.create seed in
+      let a = random_subset rng width and b = random_subset rng width in
+      let d = Rng.int rng ((2 * width) + 5) - (width + 2) in
+      let model =
+        Bitset.fold
+          (fun i n -> if i + d >= 0 && i + d < width && Bitset.mem b (i + d) then n + 1 else n)
+          a 0
+      in
+      Bitset.count_inter_shifted a b d = model)
+
 (* ------------------------------------------------------------------ *)
 (* Union_find                                                           *)
 
@@ -434,7 +524,8 @@ let suite =
         Alcotest.test_case "rejects duplicate" `Quick test_heap_rejects_duplicate;
         Alcotest.test_case "insert_or_decrease" `Quick test_heap_insert_or_decrease;
         Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "pop_min_key agrees with pop_min" `Quick test_heap_pop_min_key;
+        Alcotest.test_case "pop_min agrees with swap-based reference" `Quick
+          test_heap_matches_swap_reference;
         qtest prop_heap_sorts;
         qtest prop_heap_decrease_key;
       ] );
@@ -453,6 +544,8 @@ let suite =
         Alcotest.test_case "ops" `Quick test_bitset_ops;
         Alcotest.test_case "out of range" `Quick test_bitset_out_of_range;
         qtest prop_bitset_model;
+        qtest prop_bitset_cardinal;
+        qtest prop_bitset_count_inter_shifted;
       ] );
     ("util.union_find", [ Alcotest.test_case "basic" `Quick test_uf_basic ]);
     ( "util.stats",
