@@ -538,6 +538,21 @@ let prop_bounded_respects_budget =
         List.length (Slp.conversions net p) <= budget
         && Slp.validate net ~source:0 ~target:(n - 1) p = Ok ())
 
+(* The committed golden (tools/gen_pair_golden) pins every hop, cost bit
+   and heap-operation count of the layered searches; both workspace
+   disciplines must reproduce it exactly. *)
+let test_layered_golden () =
+  let golden =
+    In_channel.with_open_bin "corpus/layered_paths.golden" In_channel.input_all
+  in
+  List.iter
+    (fun (label, mode) ->
+      check Alcotest.string label golden (Rr_check.Layered_golden.render mode))
+    [
+      ("no workspace", Rr_check.Layered_golden.Fresh_workspaces);
+      ("workspace shared with Suurballe", Rr_check.Layered_golden.Shared_with_suurballe);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Usage                                                                *)
 
@@ -612,6 +627,7 @@ let suite =
         Alcotest.test_case "bounded: zero budget" `Quick test_bounded_zero_forces_continuity;
         qtest prop_bounded_monotone_and_converges;
         qtest prop_bounded_respects_budget;
+        Alcotest.test_case "golden paths" `Quick test_layered_golden;
       ] );
     ( "wdm.usage",
       [
