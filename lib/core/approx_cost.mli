@@ -19,6 +19,22 @@ type detail = {
   refined_cost : float;  (** C(P₁′) + C(P₂′) ≤ [aux_weight] *)
 }
 
+val refine :
+  Rr_wdm.Network.t ->
+  ?workspace:Rr_util.Workspace.t ->
+  ?obs:Rr_obs.Obs.t ->
+  source:int ->
+  target:int ->
+  int list ->
+  (Rr_wdm.Semilightpath.t * float) option
+(** [refine net ~source ~target links]: the minimum-cost semilightpath
+    within the physical subgraph the links induce (the refinement step of
+    Lemma 2), or [None].  A layered optimum that revisits a physical link
+    (see {!Rr_wdm.Semilightpath.link_simple}) is not a semilightpath: it is
+    screened out, counted as [refine.nonsimple], and reads as [None].
+    Every policy that refines auxiliary-graph paths goes through this one
+    screen.  With a workspace, link membership uses its mark set. *)
+
 val route :
   ?aux_cache:Rr_wdm.Aux_cache.t ->
   ?workspace:Rr_util.Workspace.t ->

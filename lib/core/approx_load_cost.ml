@@ -1,7 +1,5 @@
 module Aux = Rr_wdm.Auxiliary
 module Net = Rr_wdm.Network
-module Layered = Rr_wdm.Layered
-module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
 
 type result = {
@@ -9,29 +7,6 @@ type result = {
   bottleneck : float;
   solution : Types.solution;
 }
-
-(* Same screening as {!Approx_cost.refine}: a layered walk that revisits a
-   physical link is not a semilightpath and cannot be admitted. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
-  let result =
-    match workspace with
-    | Some ws ->
-      Rr_util.Workspace.mark_reset ws (Net.n_links net);
-      List.iter (Rr_util.Workspace.mark ws) links;
-      Layered.optimal net
-        ~link_enabled:(Rr_util.Workspace.marked ws)
-        ~obs ~workspace:ws ~source ~target
-    | None ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace set e ()) links;
-      (* lint: no-thread — ?workspace is statically None in this branch *)
-      Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~obs ~source ~target
-  in
-  match result with
-  | Some (p, _) when not (Slp.link_simple p) ->
-    Obs.add obs "refine.nonsimple" 1;
-    None
-  | r -> r
 
 let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
     ~target =
@@ -69,8 +44,8 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
        let links1 = Aux.links_of_path aux p1 in
        let links2 = Aux.links_of_path aux p2 in
        (match
-          ( refine net ?workspace ~obs ~source ~target links1,
-            refine net ?workspace ~obs ~source ~target links2 )
+          ( Approx_cost.refine net ?workspace ~obs ~source ~target links1,
+            Approx_cost.refine net ?workspace ~obs ~source ~target links2 )
         with
         | Some (sl1, c1), Some (sl2, c2) ->
           let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in

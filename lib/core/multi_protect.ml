@@ -1,12 +1,5 @@
 module Aux = Rr_wdm.Auxiliary
-module Net = Rr_wdm.Network
-module Layered = Rr_wdm.Layered
 module Digraph = Rr_graph.Digraph
-
-let refine net ~source ~target links =
-  let set = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace set e ()) links;
-  Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~source ~target
 
 let max_protection net ~source ~target =
   let aux = Aux.gprime net ~source ~target in
@@ -48,7 +41,7 @@ let route net ~k ~source ~target =
       else begin
         let aux_path = extract () in
         let links = Aux.links_of_path aux aux_path in
-        match refine net ~source ~target links with
+        match Approx_cost.refine net ~source ~target links with
         | Some (slp, c) -> collect (i - 1) ((slp, c) :: acc)
         | None -> raise Exit
       end

@@ -5,7 +5,8 @@
     any [k-1] simultaneous link failures.  A minimum-cost flow of [k] units
     on the auxiliary graph [G'] replaces Suurballe (which is exactly the
     [k = 2] case), and each flow path is refined to an optimal
-    semilightpath in its induced subgraph, as in Section 3.3. *)
+    semilightpath in its induced subgraph by {!Approx_cost.refine}, whose
+    screen rejects layered walks that revisit a physical link. *)
 
 val route :
   Rr_wdm.Network.t ->
@@ -14,7 +15,8 @@ val route :
   target:int ->
   Rr_wdm.Semilightpath.t list option
 (** [k >= 1] pairwise edge-disjoint semilightpaths ordered by cost, or
-    [None] when fewer than [k] edge-disjoint routes exist. *)
+    [None] when fewer than [k] edge-disjoint routes exist or some flow
+    path's subgraph holds no semilightpath. *)
 
 val max_protection : Rr_wdm.Network.t -> source:int -> target:int -> int
 (** Largest feasible [k] in the residual network (a max-flow value). *)

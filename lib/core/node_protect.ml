@@ -1,31 +1,7 @@
 module Aux = Rr_wdm.Auxiliary
 module Net = Rr_wdm.Network
-module Layered = Rr_wdm.Layered
 module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
-
-(* Same screening as {!Approx_cost.refine}: a layered walk that revisits a
-   physical link is not a semilightpath and cannot be admitted. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
-  let result =
-    match workspace with
-    | Some ws ->
-      Rr_util.Workspace.mark_reset ws (Net.n_links net);
-      List.iter (Rr_util.Workspace.mark ws) links;
-      Layered.optimal net
-        ~link_enabled:(Rr_util.Workspace.marked ws)
-        ~obs ~workspace:ws ~source ~target
-    | None ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace set e ()) links;
-      (* lint: no-thread — ?workspace is statically None in this branch *)
-      Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~obs ~source ~target
-  in
-  match result with
-  | Some (p, _) when not (Slp.link_simple p) ->
-    Obs.add obs "refine.nonsimple" 1;
-    None
-  | r -> r
 
 let route ?workspace ?(obs = Obs.null) net ~source ~target =
   let t0 = Obs.start obs in
@@ -42,8 +18,8 @@ let route ?workspace ?(obs = Obs.null) net ~source ~target =
     let links1 = Aux.links_of_path aux p1 in
     let links2 = Aux.links_of_path aux p2 in
     let t0 = Obs.start obs in
-    let r1 = refine net ?workspace ~obs ~source ~target links1
-    and r2 = refine net ?workspace ~obs ~source ~target links2 in
+    let r1 = Approx_cost.refine net ?workspace ~obs ~source ~target links1
+    and r2 = Approx_cost.refine net ?workspace ~obs ~source ~target links2 in
     Obs.stop obs "stage.refine" t0;
     (match (r1, r2) with
      | Some (sl1, c1), Some (sl2, c2) ->
