@@ -193,8 +193,11 @@ let run ?(obs = Obs.null) net0 config =
   (* One incremental auxiliary-graph engine for the whole run: arrivals,
      reroutes and preemption probes all sync it against whatever the
      event loop (departures, failures, repairs) did to the residual state
-     since the previous routing call. *)
+     since the previous routing call.  Beside it, one search workspace
+     serves every routing call of the run, which runs on this domain
+     alone. *)
   let aux_cache = Rr_wdm.Aux_cache.create net in
+  let workspace = Rr_util.Workspace.create () in
   let rng = Rng.create config.seed in
   let q = Event_queue.create () in
   let counters = Metrics.counters () in
@@ -338,7 +341,7 @@ let run ?(obs = Obs.null) net0 config =
           end
           else if hit conn.active then begin
             match
-              Restore.restore ~aux_cache ~obs ~req:(fresh_req ())
+              Restore.restore ~aux_cache ~workspace ~obs ~req:(fresh_req ())
                 ~reprovision:config.reprovision_backup net config.policy
                 ~request:{ Types.src = conn.src; dst = conn.dst }
                 ~primary:conn.active ~protection:conn.protection
@@ -432,7 +435,7 @@ let run ?(obs = Obs.null) net0 config =
       | victim :: rest -> (
         Slp.release net victim.active;
         match
-          Router.route ~aux_cache ~obs net (policy_for Premium) ~source:src
+          Router.route ~aux_cache ~workspace ~obs net (policy_for Premium) ~source:src
             ~target:dst
         with
         | Some sol -> Some (sol, victim :: evicted)
@@ -448,7 +451,7 @@ let run ?(obs = Obs.null) net0 config =
       (fun victim ->
         incr preemptions;
         match
-          Router.route ~aux_cache ~obs net Router.Unprotected
+          Router.route ~aux_cache ~workspace ~obs net Router.Unprotected
             ~source:victim.src ~target:victim.dst
         with
         | Some s
@@ -488,7 +491,7 @@ let run ?(obs = Obs.null) net0 config =
     match partial_exposure with
     | Some exposure -> (
       match
-        Protect.admit ~aux_cache ~obs net ~exposure ~source:src ~target:dst
+        Protect.admit ~aux_cache ~workspace ~obs net ~exposure ~source:src ~target:dst
       with
       | Some (primary, protection) ->
         Log.debug (fun m ->
@@ -503,7 +506,7 @@ let run ?(obs = Obs.null) net0 config =
         end)
     | None -> (
       match
-        Router.admit ~aux_cache ~obs ~req:(fresh_req ()) net (policy_for klass)
+        Router.admit ~aux_cache ~workspace ~obs ~req:(fresh_req ()) net (policy_for klass)
           ~source:src ~target:dst
       with
       | Some sol ->

@@ -136,6 +136,10 @@ type report = {
 
 val run : ?obs:Rr_obs.Obs.t -> Rr_wdm.Network.t -> config -> report
 (** Runs on a private copy of the network (the argument is not mutated).
+    One {!Rr_wdm.Aux_cache} and one {!Rr_util.Workspace} serve every
+    routing call of the run — admissions, partial protection,
+    restoration and preemption — so no search allocates its scratch
+    state ([workspace.miss] stays 0).
 
     With [?obs] every event handler records a span ([sim.arrival],
     [sim.epoch], [sim.departure], [sim.fail_link], [sim.fail_node],

@@ -1,4 +1,5 @@
 module Bitset = Rr_util.Bitset
+module Digraph = Rr_graph.Digraph
 module Workspace = Rr_util.Workspace
 module Obs = Rr_obs.Obs
 
@@ -26,7 +27,13 @@ module Obs = Rr_obs.Obs
      2x + 1    at a departure state (or the sink): x is the predecessor
                arrival state's λ ([optimal]) or its packed (λ, k)
                ([optimal_bounded]); x = own λ means no conversion
-   The workspace's unset value -1 doubles as "no predecessor". *)
+   The workspace's unset value -1 doubles as "no predecessor".
+
+   Every relaxation is a Workspace.relax_copy / relax_add from the popped
+   state, so no distance is read out or boxed, and the loops over links
+   and wavelengths take no closure.  Relax order is the order of the
+   sets they walk: out-links as the graph stores them, wavelengths
+   ascending, the identity arc before the conversion arcs. *)
 
 let p_start = -2
 let p_traverse e = 2 * e
@@ -56,54 +63,66 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
   in
   Workspace.reset ws n_states;
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
-  let relax state d p = if Workspace.relax ws state d p then incr inserts in
-  relax super_source 0.0 p_start;
+  if Workspace.relax ws super_source 0.0 p_start then incr inserts;
   let graph = Network.graph net in
   let settled_sink = ref false in
   while (not !settled_sink) && Workspace.heap_size ws > 0 do
     let state = Workspace.pop_min ws in
-    let d = Workspace.dist ws state in
     incr pops;
     if state = super_sink then settled_sink := true
-    else if state = super_source then
+    else if state = super_source then begin
       (* Leave the source on any available wavelength of any outgoing
          link; the traversal arc itself is taken below from dep(s, λ). *)
-      Array.iter
-        (fun e ->
-          if link_enabled e then
-            Bitset.iter
-              (fun l ->
-                if Network.is_available net e l then relax (dep source l) d p_start)
-              (Network.lambdas net e))
-        (Rr_graph.Digraph.out_edges graph source)
+      let out = Digraph.out_edges graph source in
+      for i = 0 to Array.length out - 1 do
+        let e = out.(i) in
+        if link_enabled e then
+          for l = 0 to w - 1 do
+            if
+              Network.is_available net e l
+              && Workspace.relax_copy ws (dep source l) state p_start
+            then incr inserts
+          done
+      done
+    end
     else if state land 1 = 1 then begin
       (* Departure state: traversal arcs only. *)
       let s2 = state asr 1 in
       let v = s2 / w and l = s2 mod w in
-      Array.iter
-        (fun e ->
-          if link_enabled e && Network.is_available net e l then
-            relax
-              (arr (Network.link_dst net e) l)
-              (d +. Network.weight net e l)
-              (p_traverse e))
-        (Rr_graph.Digraph.out_edges graph v)
+      let out = Digraph.out_edges graph v in
+      for i = 0 to Array.length out - 1 do
+        let e = out.(i) in
+        if
+          link_enabled e
+          && Network.is_available net e l
+          && Workspace.relax_add ws
+               (arr (Network.link_dst net e) l)
+               state (Network.weight_row net e) l (p_traverse e)
+        then incr inserts
+      done
     end
     else begin
       (* Arrival state: finish at the target, or spend / skip the one
          conversion opportunity this visit grants. *)
       let s2 = state asr 1 in
       let v = s2 / w and l = s2 mod w in
-      if v = target then relax super_sink d (p_convert l)
+      if v = target then begin
+        if Workspace.relax_copy ws super_sink state (p_convert l) then incr inserts
+      end
       else begin
-        relax (dep v l) d (p_convert l);
+        if Workspace.relax_copy ws (dep v l) state (p_convert l) then incr inserts;
         (* Conversion arcs at v (not at the source: a fresh transmitter
-           can start on any wavelength directly). *)
-        if v <> source then begin
+           can start on any wavelength directly).  Where the first scan
+           dominates, only the first arrival popped at v scans. *)
+        if
+          v <> source
+          && ((not (Network.conv_first_dominates net v)) || Workspace.first_visit ws v)
+        then begin
           let qs, cs = Network.conv_successors net v l in
           convs := !convs + Array.length qs;
           for i = 0 to Array.length qs - 1 do
-            relax (dep v qs.(i)) (d +. cs.(i)) (p_convert l)
+            if Workspace.relax_add ws (dep v qs.(i)) state cs i (p_convert l) then
+              incr inserts
           done
         end
       end
@@ -181,50 +200,61 @@ let optimal_bounded ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace
   in
   Workspace.reset ws n_states;
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
-  let relax state d p = if Workspace.relax ws state d p then incr inserts in
-  relax super_source 0.0 p_start;
+  if Workspace.relax ws super_source 0.0 p_start then incr inserts;
   let graph = Network.graph net in
   let settled_sink = ref false in
   while (not !settled_sink) && Workspace.heap_size ws > 0 do
     let state = Workspace.pop_min ws in
-    let d = Workspace.dist ws state in
     incr pops;
     if state = super_sink then settled_sink := true
-    else if state = super_source then
-      Array.iter
-        (fun e ->
-          if link_enabled e then
-            Bitset.iter
-              (fun l ->
-                if Network.is_available net e l then relax (dep source l 0) d p_start)
-              (Network.lambdas net e))
-        (Rr_graph.Digraph.out_edges graph source)
+    else if state = super_source then begin
+      let out = Digraph.out_edges graph source in
+      for i = 0 to Array.length out - 1 do
+        let e = out.(i) in
+        if link_enabled e then
+          for l = 0 to w - 1 do
+            if
+              Network.is_available net e l
+              && Workspace.relax_copy ws (dep source l 0) state p_start
+            then incr inserts
+          done
+      done
+    end
     else if state land 1 = 1 then begin
       let s2 = state asr 1 in
       let vl = s2 / kk and k = s2 mod kk in
       let v = vl / w and l = vl mod w in
-      Array.iter
-        (fun e ->
-          if link_enabled e && Network.is_available net e l then
-            relax
-              (arr (Network.link_dst net e) l k)
-              (d +. Network.weight net e l)
-              (p_traverse e))
-        (Rr_graph.Digraph.out_edges graph v)
+      let out = Digraph.out_edges graph v in
+      for i = 0 to Array.length out - 1 do
+        let e = out.(i) in
+        if
+          link_enabled e
+          && Network.is_available net e l
+          && Workspace.relax_add ws
+               (arr (Network.link_dst net e) l k)
+               state (Network.weight_row net e) l (p_traverse e)
+        then incr inserts
+      done
     end
     else begin
       let s2 = state asr 1 in
       let vl = s2 / kk and k = s2 mod kk in
       let v = vl / w and l = vl mod w in
-      if v = target then relax super_sink d (p_convert ((l * kk) + k))
+      let p = p_convert ((l * kk) + k) in
+      if v = target then begin
+        if Workspace.relax_copy ws super_sink state p then incr inserts
+      end
       else begin
-        relax (dep v l k) d (p_convert ((l * kk) + k));
+        if Workspace.relax_copy ws (dep v l k) state p then incr inserts;
+        (* No first-arrival prune here: a later arrival's conversion back
+           to the first arrival's wavelength lands in budget layer k + 1,
+           which the first scan's identity arc (layer k) does not bound. *)
         if v <> source && k < max_conversions then begin
           let qs, cs = Network.conv_successors net v l in
           convs := !convs + Array.length qs;
           for i = 0 to Array.length qs - 1 do
-            relax (dep v qs.(i) (k + 1)) (d +. cs.(i))
-              (p_convert ((l * kk) + k))
+            if Workspace.relax_add ws (dep v qs.(i) (k + 1)) state cs i p then
+              incr inserts
           done
         end
       end

@@ -22,8 +22,21 @@
     long-lived router passes one workspace so repeated queries allocate
     nothing of that size.  Results are materialised before return and do
     not alias the workspace.  With [?obs] they record a [kernel.layered]
-    (or [kernel.layered_bounded]) span plus heap-operation,
-    conversion-arc-expansion and workspace hit/miss counters.
+    (or [kernel.layered_bounded]) span plus the counters [heap.pop],
+    [heap.insert], [conv.expansions] (conversion arcs scanned) and
+    [workspace.hit] / [workspace.miss].
+
+    {b First-arrival prune.}  At a node whose converter is [Full c], or
+    [Range (r, c)] with [r >= W - 1], both with [c >= 0]
+    ({!Network.conv_first_dominates}), {!optimal} scans conversion arcs
+    only from the first arrival state popped there.  A later arrival
+    [(v, λ₂)] at [d₂ >= d₁] would offer [d₂ + c] to every [dep(v, q)];
+    the first scan already set [dep(v, q) <= d₁ + c], and its identity
+    arc [dep(v, λ₁) <= d₁], so by monotone float addition every skipped
+    relaxation would fail.  Routings, tie order and the heap counters are
+    those of the full scan; only [conv.expansions] falls.  [Table]
+    converters keep the full scan, and so does {!optimal_bounded}, where
+    a later arrival's conversion to [λ₁] lands in another budget layer.
 
     All searches raise [Invalid_argument] on out-of-range or equal
     endpoints, a negative conversion budget, a path whose links do not

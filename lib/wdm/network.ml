@@ -16,6 +16,8 @@ type t = {
   converters : Conversion.spec array;
   conv_succ : (int array * float array) array array;
       (* per node, per λp: allowed λq ≠ λp (ascending) with costs *)
+  conv_first_dominates : bool array;
+      (* per node: every pair allowed at one cost c >= 0 *)
   hop_weights : float array;        (* per link: 1.0 *)
   mutable used : Bitset.t array;    (* per link: wavelengths in use *)
   failed : bool array;
@@ -63,6 +65,13 @@ let create ~n_nodes ~n_wavelengths ~links ~converters =
     weights;
     converters = conv;
     conv_succ = Array.map (fun spec -> Conversion.successors spec ~n_wavelengths) conv;
+    conv_first_dominates =
+      Array.map
+        (function
+          | Conversion.Full c -> c >= 0.0
+          | Conversion.Range (r, c) -> r >= n_wavelengths - 1 && c >= 0.0
+          | Conversion.No_conversion | Conversion.Table _ -> false)
+        conv;
     hop_weights = Array.make m 1.0;
     used =Array.init m (fun _ -> Bitset.create n_wavelengths);
     failed = Array.make m false;
@@ -91,6 +100,8 @@ let weight t e l =
     invalid_arg "Network.weight: wavelength not on link";
   t.weights.(e).(l)
 
+let weight_row t e = t.weights.(e)
+
 let weight_sum t e set =
   let row = t.weights.(e) in
   let sum = ref 0.0 in
@@ -108,6 +119,7 @@ let converter t v = t.converters.(v)
 let conv_allowed t v p q = Conversion.allowed t.converters.(v) p q
 let conv_cost t v p q = Conversion.cost t.converters.(v) p q
 let conv_successors t v p = t.conv_succ.(v).(p)
+let conv_first_dominates t v = t.conv_first_dominates.(v)
 
 let used t e = t.used.(e)
 

@@ -49,6 +49,11 @@ val lambdas : t -> int -> Rr_util.Bitset.t
 val weight : t -> int -> int -> float
 (** [weight t e λ = w(e, λ)].  Raises [Invalid_argument] if [λ ∉ Λ(e)]. *)
 
+val weight_row : t -> int -> float array
+(** [weight_row t e]: [w(e, λ)] for every [λ], indexed by [λ], [nan] where
+    [λ ∉ Λ(e)] — the cell {!weight} reads, for loops that must not box a
+    float per call.  Owned by the network; callers must not mutate it. *)
+
 val weight_sum : t -> int -> Rr_util.Bitset.t -> float
 (** [weight_sum t e s] is [Σ w(e, λ)] over [λ ∈ s], added in ascending [λ]
     from [0.0] — the same float sum as folding {!weight} over [s], without
@@ -69,6 +74,13 @@ val conv_successors : t -> int -> int -> int array * float array
     node [v], ascending, with their costs, as parallel arrays.  Precomputed
     at {!create}; shared by {!copy}.  The arrays are owned by the network —
     callers must not mutate them. *)
+
+val conv_first_dominates : t -> int -> bool
+(** Whether node [v] converts any [λp] to any [λq] at one cost [c >= 0]:
+    its converter is [Full c], or [Range (r, c)] with [r >= W - 1].  At
+    such a node the first conversion scan of a shortest-path search
+    dominates every later one (see {!Layered.optimal}).  Precomputed at
+    {!create}. *)
 
 (** {1 Usage, residual network, load} *)
 
