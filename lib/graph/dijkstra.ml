@@ -62,7 +62,7 @@ let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
         let e = edges.(i) in
         if enabled e then begin
           if weight.(e) < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-          if Workspace.relax_edge ws u (Digraph.dst g e) weight e e then incr inserts
+          if Workspace.relax_add ws (Digraph.dst g e) u weight e e then incr inserts
         end
       done
     end
