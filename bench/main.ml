@@ -133,8 +133,8 @@ let run_fig1 () =
        (String.concat "," (List.map string_of_int l2))
        w);
   (match RR.Approx_cost.route net ~source:0 ~target:3 with
-   | None -> print_endline "approx route: none"
-   | Some sol ->
+   | Error b -> Printf.printf "approx route: none (%s)\n" (Types.blocked_name b)
+   | Ok sol ->
      Format.printf "refined robust route:@.%a@.@." (Types.pp net) sol)
 
 (* ------------------------------------------------------------------ *)
@@ -214,7 +214,7 @@ let run_thm2 () =
           ( RR.Exact.route net ~source:0 ~target,
             RR.Approx_cost.route_detailed net ~source:0 ~target )
         with
-        | Some (_, opt), Some d when opt > 0.0 ->
+        | Some (_, opt), Ok d when opt > 0.0 ->
           ratios := (d.refined_cost /. opt) :: !ratios
         | _ -> ()
       done;
@@ -257,8 +257,8 @@ let run_lem2 () =
         let topo = Rr_topo.Random_topo.degree_bounded ~rng ~n ~degree:3 in
         let net = Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:w topo in
         match RR.Approx_cost.route_detailed net ~source:0 ~target:(n - 1) with
-        | None -> ()
-        | Some d ->
+        | Error _ -> ()
+        | Ok d ->
           if d.refined_cost > d.aux_weight +. 1e-6 then never_worse := false;
           gains := ((d.aux_weight -. d.refined_cost) /. d.aux_weight) :: !gains
       done;
@@ -310,9 +310,9 @@ let run_thm3 () =
           ( RR.Mincog.route net ~source:0 ~target:(n - 1),
             RR.Mincog.min_bottleneck net ~source:0 ~target:(n - 1) )
         with
-        | Some r, Some (bstar, _) when bstar > 1e-9 ->
+        | Ok r, Some (bstar, _) when bstar > 1e-9 ->
           ratios := (r.bottleneck /. bstar) :: !ratios
-        | Some r, Some (_, _) ->
+        | Ok r, Some (_, _) ->
           (* optimum 0: the algorithm should find a zero-load pair too *)
           ratios := (if r.bottleneck <= 1e-9 then 1.0 else 2.0) :: !ratios
         | _ -> ()
@@ -616,7 +616,7 @@ let run_syn_sharing () =
                   Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net)
                 in
                 (match RR.Approx_cost.route net ~source:s ~target:d with
-                 | Some { Types.primary; backup = Some b } ->
+                 | Ok { Types.primary; backup = Some b } ->
                    let id = !next_id in
                    incr next_id;
                    let ok =
@@ -884,7 +884,7 @@ let run_abl_base () =
           ( RR.Mincog.route ~base net ~source:0 ~target:9,
             RR.Mincog.min_bottleneck net ~source:0 ~target:9 )
         with
-        | Some r, Some (bstar, _) when bstar > 1e-9 ->
+        | Ok r, Some (bstar, _) when bstar > 1e-9 ->
           ratios := (r.bottleneck /. bstar) :: !ratios
         | _ -> ()
       done;
@@ -927,7 +927,7 @@ let run_abl_jitter () =
           ( RR.Exact.route net ~source:0 ~target:6,
             RR.Approx_cost.route_detailed net ~source:0 ~target:6 )
         with
-        | Some (_, opt), Some d when opt > 0.0 ->
+        | Some (_, opt), Ok d when opt > 0.0 ->
           ratios := (d.refined_cost /. opt) :: !ratios
         | _ -> ()
       done;
@@ -1242,6 +1242,7 @@ type scaling_point = {
   effective : int;
   ns : float;  (* median parallel ns per batch *)
   speedups : float list;  (* sequential / parallel, one per repetition *)
+  pair_ns : (float * float) list;  (* (sequential, parallel) ns per repetition *)
   ci : float * float;  (* Stats.ci95 of [speedups] *)
   identical : bool;  (* every repetition byte-identical to sequential *)
   ok : bool;
@@ -1345,17 +1346,21 @@ let batch_scaling_measurements () =
                            Router.Cost_approx batch_reqs))
                 in
                 seq_samples := seq_ns :: !seq_samples;
-                (identical, ns, if ns > 0.0 then seq_ns /. ns else nan)
+                (identical, seq_ns, ns)
               in
               let runs = List.init batch_reps (fun _ -> attempt ()) in
-              let speedups = List.map (fun (_, _, sp) -> sp) runs in
+              let pair_ns = List.map (fun (_, seq, par) -> (seq, par)) runs in
+              let speedups =
+                List.map (fun (seq, par) -> if par > 0.0 then seq /. par else nan) pair_ns
+              in
               let identical = List.for_all (fun (id, _, _) -> id) runs in
               let ci = Stats.ci95 speedups in
               {
                 jobs = j;
                 effective;
-                ns = Stats.percentile 0.5 (List.map (fun (_, ns, _) -> ns) runs);
+                ns = Stats.percentile 0.5 (List.map snd pair_ns);
                 speedups;
+                pair_ns;
                 ci;
                 identical;
                 ok = identical && batch_gate_holds ~effective speedups ci;
@@ -1392,9 +1397,19 @@ let describe_point p =
     (List.length p.speedups) (batch_gate_name ~effective:p.effective)
     (if p.identical then "byte-identical to sequential" else "DIVERGED from sequential")
 
+(* A failed point lists every pair, so a report shows whether one pair was
+   perturbed or the whole curve moved. *)
 let report_batch_failures curve =
   List.iter
-    (fun p -> if not p.ok then Printf.printf "  BATCH GATE FAILED: %s\n" (describe_point p))
+    (fun p ->
+      if not p.ok then begin
+        Printf.printf "  BATCH GATE FAILED: %s\n" (describe_point p);
+        List.iteri
+          (fun i (seq, par) ->
+            Printf.printf "    pair %d: sequential %.0f ns, parallel %.0f ns (%.2fx)\n"
+              (i + 1) seq par (if par > 0.0 then seq /. par else nan))
+          p.pair_ns
+      end)
     curve
 
 let run_batch_scaling () =

@@ -215,11 +215,11 @@ let route_cmd =
     let result = Router.route ~obs net policy ~source:s ~target:d in
     export_obs obs metrics trace journal;
     match result with
-    | None ->
-      Printf.printf "no robust route from %d to %d under policy %s\n" s d
-        (Router.policy_name policy);
+    | Error b ->
+      Printf.printf "no robust route from %d to %d under policy %s (%s)\n" s d
+        (Router.policy_name policy) (RR.Types.blocked_name b);
       exit 2
-    | Some sol ->
+    | Ok sol ->
       Format.printf "%a@." (RR.Types.pp net) sol;
       Printf.printf "total cost %.3f\n" (RR.Types.total_cost net sol)
   in
@@ -459,7 +459,7 @@ let audit_cmd =
     for s = 0 to n - 1 do
       for d = 0 to n - 1 do
         if s <> d then
-          if RR.Approx_cost.route net ~source:s ~target:d = None then begin
+          if Result.is_error (RR.Approx_cost.route net ~source:s ~target:d) then begin
             incr stranded;
             Printf.printf "stranded: %d -> %d\n" s d
           end
@@ -751,10 +751,10 @@ let dot_cmd =
       match (s, d) with
       | Some s, Some d -> (
         match Router.route net policy ~source:s ~target:d with
-        | None ->
-          Printf.eprintf "no robust route %d -> %d\n" s d;
+        | Error b ->
+          Printf.eprintf "no robust route %d -> %d (%s)\n" s d (RR.Types.blocked_name b);
           exit 2
-        | Some sol ->
+        | Ok sol ->
           let prim =
             List.map (fun e -> (e, "blue")) (Rr_wdm.Semilightpath.links sol.RR.Types.primary)
           in
@@ -782,13 +782,12 @@ let dot_cmd =
 (* ------------------------------------------------------------------ *)
 (* obs — inspect observability artefacts                                *)
 
-(* Decodes the [journal.admit.blocked] payload written by Router.admit. *)
-let cause_name = function
-  | 1 -> "route.block.no_disjoint_pair"
-  | 2 -> "route.block.no_wavelength"
-  | 3 -> "route.block.no_route"
-  | 4 -> "admit.reject.validator"
-  | _ -> "unknown"
+(* Decodes a [journal.admit.blocked] payload to the counter its cause is
+   counted under. *)
+let cause_name code =
+  match RR.Types.blocked_of_code code with
+  | Some b -> RR.Types.blocked_counter b
+  | None -> Printf.sprintf "code %d" code
 
 (* One journal line in Journal.to_jsonl's fixed field order; [None] for
    anything else (foreign or corrupted lines are skipped, not fatal). *)

@@ -62,8 +62,8 @@ let () =
     for d = 0 to 13 do
       if s <> d then begin
         match RR.Approx_cost.route net2 ~source:s ~target:d with
-        | None -> ()
-        | Some sol ->
+        | Error _ -> ()
+        | Ok sol ->
           incr checked;
           let p = Slp.links sol.RR.Types.primary in
           let b = Slp.links (Option.get sol.RR.Types.backup) in

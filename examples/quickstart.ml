@@ -34,8 +34,9 @@ let () =
   (* 2. Ask for a robust route: two edge-disjoint semilightpaths 0 -> 3,
         minimising total cost (the paper's Section 3.3 algorithm). *)
   match RR.Router.route net RR.Router.Cost_approx ~source:0 ~target:3 with
-  | None -> print_endline "No robust route exists."
-  | Some sol ->
+  | Error b ->
+    Printf.printf "No robust route exists (%s).\n" (RR.Types.blocked_name b)
+  | Ok sol ->
     Format.printf "Robust route found:@.%a@.@." (RR.Types.pp net) sol;
 
     (* 3. The solution carries explicit wavelength assignments and the

@@ -29,7 +29,7 @@ let () =
   for id = 1 to attempts do
     let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:n in
     match RR.Approx_cost.route net ~source:s ~target:d with
-    | Some { RR.Types.primary; backup = Some b } -> (
+    | Ok { RR.Types.primary; backup = Some b } -> (
       match SP.admit sp ~conn:id ~primary ~backup_links:(Slp.links b) with
       | Some _ -> admitted := id :: !admitted
       | None -> ())

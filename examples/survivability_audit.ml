@@ -42,7 +42,7 @@ let () =
     for d = 0 to n - 1 do
       if s <> d then begin
         match RR.Approx_cost.route net ~source:s ~target:d with
-        | Some sol ->
+        | Ok sol ->
           incr protectable;
           (match RR.Baselines.unprotected net ~source:s ~target:d with
            | Some single ->
@@ -50,7 +50,7 @@ let () =
              let c2 = RR.Types.total_cost net sol in
              if c1 > 0.0 then overheads := (c2 /. c1) :: !overheads
            | None -> ())
-        | None -> unprotectable := (s, d) :: !unprotectable
+        | Error _ -> unprotectable := (s, d) :: !unprotectable
       end
     done
   done;

@@ -199,8 +199,8 @@ let check_routed_pair inst =
   let net = Instance.network inst in
   let policy = inst.Instance.policy in
   match Router.route net policy ~source:inst.source ~target:inst.target with
-  | None -> None (* feasibility is the oracles' business *)
-  | Some sol -> check_solution net ~policy ~source:inst.source ~target:inst.target sol
+  | Error _ -> None (* feasibility is the oracles' business *)
+  | Ok sol -> check_solution net ~policy ~source:inst.source ~target:inst.target sol
 
 (* ------------------------------------------------------------------ *)
 (* Oracle cross-checks                                                  *)
@@ -217,7 +217,9 @@ let check_oracles inst =
   if Net.n_nodes net > 8 || Net.n_links net > 26 then None
   else begin
     let source = inst.Instance.source and target = inst.Instance.target in
-    let approx = Router.route net Router.Cost_approx ~source ~target in
+    let approx =
+      Result.to_option (Router.route net Router.Cost_approx ~source ~target)
+    in
     match RR.Exact.route ~max_paths:8_000 net ~source ~target with
     | exception RR.Exact.Budget_exceeded -> None
     | None -> (
@@ -323,10 +325,10 @@ let check_weight_scale inst =
   let r1 = Router.route net1 policy ~source:inst.source ~target:inst.target in
   let r2 = Router.route net2 policy ~source:inst.source ~target:inst.target in
   match (r1, r2) with
-  | None, None -> None
-  | Some _, None -> fail "route vanished after uniform x%g weight scaling" k
-  | None, Some _ -> fail "route appeared after uniform x%g weight scaling" k
-  | Some s1, Some s2 ->
+  | Error _, Error _ -> None
+  | Ok _, Error _ -> fail "route vanished after uniform x%g weight scaling" k
+  | Error _, Ok _ -> fail "route appeared after uniform x%g weight scaling" k
+  | Ok s1, Ok s2 ->
     let hops p = List.map (fun h -> (h.Slp.edge, h.Slp.lambda)) p.Slp.hops in
     let shape s =
       (hops s.Types.primary, Option.map hops s.Types.backup)
@@ -694,6 +696,11 @@ let check_serve inst =
   else begin
     let policy = inst.Instance.policy in
     let core = ref (Sc.create ~policy (Instance.network inst)) in
+    (* A twin core with observability on: every reply, blocking cause
+       included, must be byte-identical to the disabled core's. *)
+    let core_live =
+      ref (Sc.create ~policy ~obs:(Rr_obs.Obs.create ()) (Instance.network inst))
+    in
     (* Deterministic function of the instance (the shrinker replays it). *)
     let rng =
       Rng.create
@@ -751,14 +758,14 @@ let check_serve inst =
           let p = Option.value p ~default:policy in
           let rid = !next_id in
           incr next_id;
-          match Router.admit net_ref p ~source:src ~target:dst with
-          | Some sol ->
+          match Router.admit_result net_ref p ~source:src ~target:dst with
+          | Ok sol ->
             Hashtbl.replace ref_conns rid sol;
             incr admitted_total;
             Sp.Admitted { id = rid; cost = Types.total_cost net_ref sol }
-          | None ->
+          | Error b ->
             incr blocked_total;
-            Sp.Blocked { cause = "unknown" }
+            Sp.Blocked { cause = Types.blocked_name b }
         end
       | Sp.Release { id } -> (
         match Hashtbl.find_opt ref_conns id with
@@ -819,11 +826,16 @@ let check_serve inst =
       incr i;
       let req = gen_request () in
       let got = Sc.handle !core req in
+      let got_live = Sc.handle !core_live req in
       let want = expect req in
       if serve_repr got <> serve_repr want then
         err :=
           fail "server response differs from library at step %d: %s vs %s" !i
             (serve_repr got) (serve_repr want)
+      else if Sp.encode_response got <> Sp.encode_response got_live then
+        err :=
+          fail "enabling observability changed the reply at step %d: %s vs %s"
+            !i (Sp.encode_response got) (Sp.encode_response got_live)
       else begin
         (* Snapshot byte-identity against the independently maintained
            reference state, checked at every step. *)
@@ -833,9 +845,16 @@ let check_serve inst =
         else if !i = restart_at then begin
           (* Mid-script restart: the restored core must continue the run
              byte-identically. *)
-          match Sc.of_snapshot ~policy snap with
-          | Ok core' -> core := core'
-          | Error msg -> err := fail "restore failed at step %d: %s" !i msg
+          match
+            ( Sc.of_snapshot ~policy snap,
+              Sc.of_snapshot ~policy ~obs:(Rr_obs.Obs.create ())
+                (Sc.snapshot !core_live) )
+          with
+          | Ok core', Ok live' ->
+            core := core';
+            core_live := live'
+          | Error msg, _ | _, Error msg ->
+            err := fail "restore failed at step %d: %s" !i msg
         end
       end
     done;
@@ -858,7 +877,10 @@ let check_serve inst =
     in
     let expected = List.mapi (fun i req -> (i, req)) round in
     let got = Sc.handle_round !core ~queue_capacity:cap round in
-    if List.length got <> cap + extra then
+    let got_live = Sc.handle_round !core_live ~queue_capacity:cap round in
+    if List.map Sp.encode_response got <> List.map Sp.encode_response got_live
+    then fail "enabling observability changed a queued reply"
+    else if List.length got <> cap + extra then
       fail "handle_round answered %d of %d requests" (List.length got)
         (cap + extra)
     else

@@ -76,10 +76,14 @@ val check_batch_parallel : Instance.t -> string option
 val check_serve : Instance.t -> string option
 (** The rr_serve pure handler is a faithful facade over the library: a
     randomized admit/release/fail/repair/query script produces responses
-    byte-identical (modulo error-message text) to direct [Router.admit] /
-    [Network] calls on an independent copy of the network — the server
-    path adds an aux cache, a workspace pool and id bookkeeping, none of
-    which may change results.  Every step also pins the snapshot text
+    byte-identical (modulo error-message text) to direct
+    [Router.admit_result] / [Network] calls on an independent copy of the
+    network — the server path adds an aux cache, a workspace pool and id
+    bookkeeping, none of which may change results; a blocked reply carries
+    the library's typed cause.  A twin core built with [Obs.create] runs
+    the same script (restart and queued round included), and every one of
+    its replies must be byte-identical to the [Obs.null] core's, error
+    text and cause included.  Every step also pins the snapshot text
     against the reference state, the run is restarted mid-script from
     its own snapshot (restore must resume byte-identically), and a final
     [Core.handle_round] round checks bounded-queue semantics: FIFO

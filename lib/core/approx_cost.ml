@@ -62,9 +62,7 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
   let pair = Aux.disjoint_pair ~obs ?workspace ?enabled aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
-  | None ->
-    Obs.add obs "route.block.no_disjoint_pair" 1;
-    None
+  | None -> Error Types.No_disjoint_pair
   | Some ((p1, p2), aux_weight) ->
     let t0 = Obs.start obs in
     let links1 = Aux.links_of_path aux p1 in
@@ -80,7 +78,7 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
        let (primary, _), (backup, _) =
          if c1 <= c2 then ((sl1, c1), (sl2, c2)) else ((sl2, c2), (sl1, c1))
        in
-       Some
+       Ok
          {
            aux;
            aux_weight;
@@ -89,11 +87,9 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
            solution = { Types.primary; backup = Some backup };
            refined_cost = c1 +. c2;
          }
-     | _ ->
-       Obs.add obs "route.block.no_wavelength" 1;
-       None)
+     | _ -> Error Types.No_wavelength)
 
 let route ?aux_cache ?workspace ?obs net ~source ~target =
-  Option.map
+  Result.map
     (fun d -> d.solution)
     (route_detailed ?aux_cache ?workspace ?obs net ~source ~target)

@@ -42,20 +42,20 @@ val route :
   Rr_wdm.Network.t ->
   source:int ->
   target:int ->
-  Types.solution option
-(** [None] when no two edge-disjoint semilightpaths exist in the residual
-    network (or when a degenerate converter configuration admits no
-    consistent wavelength chain along the chosen subgraphs — impossible
-    under the paper's full-switching assumption (i)).  [workspace] is
-    shared by the Suurballe passes and the layered refinements.
+  (Types.solution, Types.blocked) result
+(** [Error No_disjoint_pair] when Suurballe finds no two edge-disjoint
+    paths in [G′]; [Error No_wavelength] when a refinement finds no
+    semilightpath in its induced subgraph (a degenerate converter
+    configuration with no consistent wavelength chain — impossible under
+    the paper's full-switching assumption (i)).  [workspace] is shared by
+    the Suurballe passes and the layered refinements.
 
     With [?obs] the pipeline records per-stage latency spans
     ([stage.aux_graph], [stage.disjoint_pair], [stage.induce],
-    [stage.refine]) plus blocking-cause counters
-    ([route.block.no_disjoint_pair] when Suurballe finds no pair,
-    [route.block.no_wavelength] when a refinement fails) and a
-    [refine.nonsimple] counter for layered walks screened out for
-    revisiting a physical link (see {!Rr_wdm.Semilightpath.link_simple}).
+    [stage.refine]) and a [refine.nonsimple] counter for layered walks
+    screened out for revisiting a physical link (see
+    {!Rr_wdm.Semilightpath.link_simple}).  It counts no blocking cause:
+    {!Router.route} counts the returned one.
 
     With [?aux_cache] (an {!Rr_wdm.Aux_cache} bound to [net]) the [G']
     build is replaced by an incremental sync ([stage.aux_delta] instead of
@@ -69,6 +69,6 @@ val route_detailed :
   Rr_wdm.Network.t ->
   source:int ->
   target:int ->
-  detail option
+  (detail, Types.blocked) result
 (** Same, exposing the intermediate quantities that the Lemma 2 and
     Theorem 2 experiments report. *)

@@ -16,8 +16,8 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
     Mincog.route ?aux_cache ?base ?resolution ?workspace ~obs net ~source
       ~target
   with
-  | None -> None
-  | Some phase1 ->
+  | Error b -> Error b
+  | Ok phase1 ->
     let theta = phase1.Mincog.theta in
     let aux, enabled =
       match aux_cache with
@@ -34,7 +34,7 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
      | None ->
        (* ϑ was feasible in phase 1, so G_rc (same topology as G_c) must
           admit a pair; fall back to the phase-1 routes defensively. *)
-       Some
+       Ok
          {
            theta;
            bottleneck = phase1.Mincog.bottleneck;
@@ -54,10 +54,10 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
               (fun acc e -> Float.max acc (Net.link_load net e))
               0.0 (links1 @ links2)
           in
-          Some
+          Ok
             { theta; bottleneck; solution = { Types.primary; backup = Some backup } }
         | _ ->
-          Some
+          Ok
             {
               theta;
               bottleneck = phase1.Mincog.bottleneck;

@@ -22,4 +22,7 @@ val route :
   Rr_wdm.Network.t ->
   source:int ->
   target:int ->
-  result option
+  (result, Types.blocked) Stdlib.result
+(** [Error] only when phase 1 ({!Mincog.route}) blocks, with its cause;
+    once a threshold is feasible, phase 2 falls back to the phase-1 pair
+    rather than blocking. *)

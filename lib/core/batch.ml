@@ -133,8 +133,9 @@ let speculate_one ?(obs = Obs.null) ?req snapshot cache ws policy rq =
   (match req with Some id -> Obs.set_request obs id | None -> ());
   let result =
     if valid snapshot rq then
-      Router.route ~aux_cache:cache ~workspace:ws ~obs snapshot policy
-        ~source:rq.Types.src ~target:rq.Types.dst
+      Result.to_option
+        (Router.route ~aux_cache:cache ~workspace:ws ~obs snapshot policy
+           ~source:rq.Types.src ~target:rq.Types.dst)
     else None
   in
   (match req with Some _ -> Obs.clear_request obs | None -> ());

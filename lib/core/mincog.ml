@@ -82,17 +82,13 @@ let route ?aux_cache ?(base = 16.0) ?(resolution = 10) ?workspace
               theta_min +. (delta /. Float.pow 2.0 (float_of_int (resolution - 1 - i)))))
   in
   let rec try_all = function
-    | [] -> None
+    | [] -> Error Types.No_disjoint_pair
     | theta :: rest -> (
       match attempt ?aux_cache ?workspace ~obs net ~theta ~base ~source ~target with
-      | Some r -> Some r
+      | Some r -> Ok r
       | None -> try_all rest)
   in
-  match try_all candidates with
-  | None ->
-    Obs.add obs "route.block.no_disjoint_pair" 1;
-    None
-  | r -> r
+  try_all candidates
 
 let min_bottleneck ?aux_cache ?workspace net ~source ~target =
   (match aux_cache with

@@ -28,10 +28,11 @@ val route :
   Rr_wdm.Network.t ->
   source:int ->
   target:int ->
-  result option
+  (result, Types.blocked) Stdlib.result
 (** The paper's algorithm with the exponential congestion weights
     [a^((U+1)/N) − a^(U/N)] ([base] = a, default 16; [resolution] = K,
-    default 10).  [None] when even [ϑ_max] admits no pair.  [aux_cache]
+    default 10).  [Error No_disjoint_pair] when even [ϑ_max] admits no
+    refinable pair.  [aux_cache]
     syncs once per call and serves every threshold probe from the shared
     superset graph (byte-identical results). *)
 

@@ -11,9 +11,7 @@ let route ?workspace ?(obs = Obs.null) net ~source ~target =
   let pair = Aux.disjoint_pair ~obs ?workspace aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
-  | None ->
-    Obs.add obs "route.block.no_disjoint_pair" 1;
-    None
+  | None -> Error Types.No_disjoint_pair
   | Some ((p1, p2), _) ->
     let links1 = Aux.links_of_path aux p1 in
     let links2 = Aux.links_of_path aux p2 in
@@ -24,10 +22,8 @@ let route ?workspace ?(obs = Obs.null) net ~source ~target =
     (match (r1, r2) with
      | Some (sl1, c1), Some (sl2, c2) ->
        let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in
-       Some { Types.primary; backup = Some backup }
-     | _ ->
-       Obs.add obs "route.block.no_wavelength" 1;
-       None)
+       Ok { Types.primary; backup = Some backup }
+     | _ -> Error Types.No_wavelength)
 
 let internal_nodes net p =
   match Slp.links p with

@@ -13,9 +13,11 @@ val route :
   Rr_wdm.Network.t ->
   source:int ->
   target:int ->
-  Types.solution option
-(** [None] when no internally node-disjoint pair of semilightpaths exists
-    in the residual network.  Returned paths are also edge-disjoint (node
+  (Types.solution, Types.blocked) result
+(** Refused when no internally node-disjoint pair of semilightpaths
+    exists in the residual network: [Error No_disjoint_pair] when the
+    gated auxiliary graph has no disjoint pair, [Error No_wavelength]
+    when a refinement fails.  Returned paths are also edge-disjoint (node
     disjointness implies it). *)
 
 val node_disjoint : Rr_wdm.Network.t -> Types.solution -> bool

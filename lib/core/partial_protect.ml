@@ -68,7 +68,11 @@ let admit ?aux_cache ?workspace ?(obs = Obs.null) ~exposure net ~source ~target 
   (* The full edge-disjoint candidate is computed up front, on the same
      residual state the fallback path restores to — so falling back never
      needs a second Suurballe pass. *)
-  let full = Approx_cost.route ?aux_cache ?workspace ~obs net ~source ~target in
+  let full =
+    Result.to_option
+      (Router.route ?aux_cache ?workspace ~obs net Router.Cost_approx ~source
+         ~target)
+  in
   let full_backup_hops =
     match full with
     | Some { Types.backup = Some b; _ } -> Some (List.length b.Slp.hops)

@@ -82,7 +82,7 @@ let local_search ?order ?(policy = Router.Cost_approx)
   let route_one i =
     let req = placements.(i).request in
     match Router.route net reroute_policy ~source:req.Types.src ~target:req.Types.dst with
-    | Some s when Result.is_ok (Types.validate net req s) -> Some s
+    | Ok s when Result.is_ok (Types.validate net req s) -> Some s
     | _ -> None
   in
   let n = Array.length placements in

@@ -72,7 +72,8 @@ let reduce_load ?(max_moves = 50) net conns0 =
          unprotected ones get a congestion-avoiding single path (hottest
          links excluded when possible). *)
       let reroute ~protected_ ~source ~target =
-        if protected_ then Router.route net Router.Load_cost ~source ~target
+        if protected_ then
+          Result.to_option (Router.route net Router.Load_cost ~source ~target)
         else begin
           let rho' = Net.network_load net in
           let cooler e = Net.link_load net e < rho' -. 1e-12 in

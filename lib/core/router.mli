@@ -1,5 +1,5 @@
-(** Unified routing facade: one entry point per policy, plus admission
-    (route + validate + allocate) for the simulator. *)
+(** Unified routing facade: one entry point per policy, plus the one
+    admission (route + validate + allocate). *)
 
 type policy =
   | Cost_approx      (** Section 3.3 auxiliary-graph approximation *)
@@ -25,8 +25,10 @@ val route :
   policy ->
   source:int ->
   target:int ->
-  Types.solution option
-(** Compute a robust route on the residual network; no allocation.
+  (Types.solution, Types.blocked) result
+(** Compute a robust route on the residual network; no allocation.  A
+    refusal says why: the pipeline policies return their own cause, the
+    baselines and [Exact] block as [No_route].
     [workspace] supplies reusable scratch arrays to every search the policy
     runs (ignored by [Exact]); see {!Rr_util.Workspace}.  [aux_cache] is an
     incremental auxiliary-graph engine bound to [net] (see
@@ -34,9 +36,41 @@ val route :
     [Load_aware], [Load_cost]) then sync it and route over its views —
     byte-identical results, no per-request [G'] rebuild; other policies
     ignore it.  [obs] is threaded through the policy pipeline, recording
-    per-stage spans ([stage.*]), kernel spans and counters ([kernel.*],
-    [heap.*], [conv.expansions], [workspace.*]) and blocking causes
-    ([route.block.*]). *)
+    per-stage spans ([stage.*]) and kernel spans and counters
+    ([kernel.*], [heap.*], [conv.expansions], [workspace.*]).  This is the
+    one place a blocking cause is counted: each [Error] adds 1 to its
+    {!Types.blocked_counter} ([route.block.*]). *)
+
+val admit_result :
+  ?aux_cache:Rr_wdm.Aux_cache.t ->
+  ?workspace:Rr_util.Workspace.t ->
+  ?obs:Rr_obs.Obs.t ->
+  ?req:int ->
+  Rr_wdm.Network.t ->
+  policy ->
+  source:int ->
+  target:int ->
+  (Types.solution, Types.blocked) result
+(** The one admission: {!route}, then validate against the residual
+    network and allocate all wavelengths of both paths ([stage.validate] /
+    [stage.allocate] spans).  An admitted request increments [admit.ok];
+    a refusal increments [admit.blocked].  A solution the validator
+    rejects — an algorithm defect, not an operational condition — is
+    refused as [Validator msg] (the validator's message) rather than
+    raised, and counted under [admit.reject.validator], so long
+    simulations survive and the defect shows up in exported metrics (the
+    shipped policies keep this counter at zero).  Every counter, journal
+    payload and reply is derived from the returned value, so the outcome
+    is the same whether [obs] is enabled or not.
+
+    [req] is the request id for request-scoped observability: the whole
+    admission runs inside [Obs.set_request]/[Obs.clear_request], so every
+    stage span is attributable (and subject to the context's sampling
+    rate), the admission outcome lands in the flight recorder as
+    [journal.admit.ok] (a=source, b=target) or [journal.admit.blocked]
+    (a = {!Types.blocked_code}), and the end-to-end latency feeds the
+    [req.admit] histogram plus the sliding window via [Obs.stop_admit].
+    Without [req] the same probes fire with request id -1. *)
 
 val admit :
   ?aux_cache:Rr_wdm.Aux_cache.t ->
@@ -48,24 +82,8 @@ val admit :
   source:int ->
   target:int ->
   Types.solution option
-(** {!route}, then validate against the residual network and allocate all
-    wavelengths of both paths ([stage.validate] / [stage.allocate] spans).
-    An admitted request increments [admit.ok]; a refusal increments
-    [admit.blocked].  A solution the validator rejects — an algorithm
-    defect, not an operational condition — is additionally counted under
-    [admit.reject.validator] and refused rather than raised, so long
-    simulations survive and the defect shows up in exported metrics (the
-    shipped policies keep this counter at zero).
-
-    [req] is the request id for request-scoped observability: the whole
-    admission runs inside [Obs.set_request]/[Obs.clear_request], so every
-    stage span is attributable (and subject to the context's sampling
-    rate), the admission outcome lands in the flight recorder as
-    [journal.admit.ok] (a=source, b=target) or [journal.admit.blocked]
-    (a = blocking cause: 1 no_disjoint_pair, 2 no_wavelength, 3 no_route,
-    4 validator reject), and the end-to-end latency feeds the [req.admit]
-    histogram plus the sliding window via [Obs.stop_admit].  Without
-    [req] the same probes fire with request id -1. *)
+(** [Result.to_option (admit_result …)], for callers that only need the
+    solution. *)
 
 val footprint : Types.solution -> (int * int) list
 (** The [(link, wavelength)] hops the solution would allocate — primary

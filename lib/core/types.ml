@@ -7,6 +7,31 @@ type solution = {
   backup : Slp.t option;
 }
 
+type blocked = No_disjoint_pair | No_wavelength | No_route | Validator of string
+
+let blocked_row = function
+  | No_disjoint_pair -> (1, "no_disjoint_pair", "route.block.no_disjoint_pair")
+  | No_wavelength -> (2, "no_wavelength", "route.block.no_wavelength")
+  | No_route -> (3, "no_route", "route.block.no_route")
+  | Validator _ -> (4, "validator_reject", "admit.reject.validator")
+
+let blocked_code b =
+  let code, _, _ = blocked_row b in
+  code
+
+let blocked_name b =
+  let _, name, _ = blocked_row b in
+  name
+
+let blocked_counter b =
+  let _, _, counter = blocked_row b in
+  counter
+
+let blocked_of_code code =
+  List.find_opt
+    (fun b -> blocked_code b = code)
+    [ No_disjoint_pair; No_wavelength; No_route; Validator "" ]
+
 let primary_cost net s = Slp.cost net s.primary
 
 let backup_cost net s =

@@ -49,7 +49,9 @@
     - [admit.*]    admission counters: [admit.ok], [admit.blocked],
                    [admit.reject.validator]
     - [route.block.*]  blocking causes: [no_disjoint_pair],
-                   [no_wavelength], [no_route]
+                   [no_wavelength], [no_route] — counted once per
+                   refusal, by [Router.route], from the cause the policy
+                   returns (no policy counts its own)
     - [req.*]      request-scoped probes recorded internally by this
                    module: [req.admit] is the whole-admission span and
                    latency histogram written by {!stop_admit} (and fed
@@ -57,9 +59,9 @@
     - [journal.*]  flight-recorder event names ({!event} call sites,
                    same dotted grammar and manifest as probe names):
                    [journal.admit.ok] (a=source, b=target),
-                   [journal.admit.blocked] (a encodes the cause:
-                   1=no_disjoint_pair, 2=no_wavelength, 3=no_route,
-                   4=validator reject, 0=unknown),
+                   [journal.admit.blocked] (a encodes the cause, see
+                   [Types.blocked_code]: 1=no_disjoint_pair,
+                   2=no_wavelength, 3=no_route, 4=validator reject),
                    [journal.batch.fallback] (a=request index),
                    [journal.link.fail] / [journal.link.repair] (a=link),
                    [journal.node.fail] (a=node),
@@ -200,7 +202,7 @@ val stop : t -> string -> int -> unit
 val stop_admit : t -> int -> unit
 (** [stop_admit t t0] completes a whole-admission span: the [req.admit]
     span/histogram plus a sample into the sliding window when one is
-    configured.  Called by [Router.admit]. *)
+    configured.  Called by [Router.admit_result]. *)
 
 val span : t -> string -> (unit -> 'a) -> 'a
 (** Closure convenience for cold paths (allocates the closure even when

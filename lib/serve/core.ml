@@ -4,7 +4,6 @@ module Types = Robust_routing.Types
 module Restore = Robust_routing.Restore
 module Protect = Robust_routing.Partial_protect
 module Obs = Rr_obs.Obs
-module Metrics = Rr_obs.Metrics
 
 type t = {
   mutable net : Net.t;
@@ -148,24 +147,6 @@ let stats t =
     st_blocked_total = t.blocked_total;
   }
 
-(* Blocking-cause attribution, same counter-diff trick as Router.admit's
-   journal payload: three counter reads per blocked admission, and only
-   when the context is live (cause reads "unknown" on a disabled one). *)
-let blocked_cause t before_pair before_wave before_route before_val =
-  if not (Obs.enabled t.obs) then "unknown"
-  else begin
-    let m = Obs.metrics t.obs in
-    if Metrics.counter m "route.block.no_disjoint_pair" > before_pair then
-      "no_disjoint_pair"
-    else if Metrics.counter m "route.block.no_wavelength" > before_wave then
-      "no_wavelength"
-    else if Metrics.counter m "route.block.no_route" > before_route then
-      "no_route"
-    else if Metrics.counter m "admit.reject.validator" > before_val then
-      "validator_reject"
-    else "unknown"
-  end
-
 (* Burst pre-validation (links sorted/deduplicated by the caller): the
    whole list must be in range and in the expected failure state before
    any link is touched. *)
@@ -216,23 +197,17 @@ let handle t (req : Protocol.request) : Protocol.response =
       let policy = Option.value policy ~default:t.default_policy in
       let rid = t.next_id in
       t.next_id <- rid + 1;
-      let live = Obs.enabled t.obs in
-      let m = Obs.metrics t.obs in
-      let b_pair = if live then Metrics.counter m "route.block.no_disjoint_pair" else 0 in
-      let b_wave = if live then Metrics.counter m "route.block.no_wavelength" else 0 in
-      let b_route = if live then Metrics.counter m "route.block.no_route" else 0 in
-      let b_val = if live then Metrics.counter m "admit.reject.validator" else 0 in
       match
-        Router.admit ~aux_cache:t.aux_cache ~workspace:t.workspace ~obs:t.obs
-          ~req:rid t.net policy ~source:src ~target:dst
+        Router.admit_result ~aux_cache:t.aux_cache ~workspace:t.workspace
+          ~obs:t.obs ~req:rid t.net policy ~source:src ~target:dst
       with
-      | Some sol ->
+      | Ok sol ->
         Hashtbl.replace t.conns rid sol;
         t.admitted_total <- t.admitted_total + 1;
         Protocol.Admitted { id = rid; cost = Types.total_cost t.net sol }
-      | None ->
+      | Error b ->
         t.blocked_total <- t.blocked_total + 1;
-        Protocol.Blocked { cause = blocked_cause t b_pair b_wave b_route b_val }
+        Protocol.Blocked { cause = Types.blocked_name b }
     end
   | Protocol.Release { id } -> (
     match Hashtbl.find_opt t.conns id with

@@ -6,9 +6,11 @@
     A core keeps the network, an {!Rr_wdm.Aux_cache} and a workspace pool
     resident across requests, so the daemon serves admissions at the
     incremental-engine price, not the cold-rebuild price.  Both caches
-    are result-invisible by the [Router.admit] contract (pinned by the
-    existing aux-cache and obs fuzz cases), which is what makes the
-    server-vs-library differential test meaningful. *)
+    are result-invisible by the [Router.admit_result] contract (pinned by
+    the existing aux-cache and obs fuzz cases), which is what makes the
+    server-vs-library differential test meaningful.  An [admit] reply,
+    blocking cause included, is derived from [Router.admit_result]'s
+    value, so it does not depend on whether [obs] is enabled. *)
 
 type t
 

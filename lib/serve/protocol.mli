@@ -62,9 +62,10 @@ type response =
   | Pong
   | Admitted of { id : int; cost : float }
   | Blocked of { cause : string }
-      (** Admission refused by the policy; [cause] is the [route.block.*]
-          suffix ([no_disjoint_pair], [no_wavelength], [no_route]) or
-          [validator_reject]/[unknown]. *)
+      (** Admission refused; [cause] is the refusal's
+          {!Robust_routing.Types.blocked_name} ([no_disjoint_pair],
+          [no_wavelength], [no_route] or [validator_reject]), the same
+          whether the daemon's observability is on or off. *)
   | Released of { id : int }
   | Link_failed of { link : int }
   | Link_repaired of { link : int }

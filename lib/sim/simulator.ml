@@ -438,8 +438,8 @@ let run ?(obs = Obs.null) net0 config =
           Router.route ~aux_cache ~workspace ~obs net (policy_for Premium) ~source:src
             ~target:dst
         with
-        | Some sol -> Some (sol, victim :: evicted)
-        | None -> evict (victim :: evicted) rest)
+        | Ok sol -> Some (sol, victim :: evicted)
+        | Error _ -> evict (victim :: evicted) rest)
     in
     evict [] best_effort
   in
@@ -454,7 +454,7 @@ let run ?(obs = Obs.null) net0 config =
           Router.route ~aux_cache ~workspace ~obs net Router.Unprotected
             ~source:victim.src ~target:victim.dst
         with
-        | Some s
+        | Ok s
           when (match
                   Types.validate net { Types.src = victim.src; dst = victim.dst } s
                 with

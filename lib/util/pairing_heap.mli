@@ -1,9 +1,9 @@
 (** Pairing heap with handle-based decrease-key.
 
-    A functional-interface-over-mutable-nodes min-heap.  Used where keys are
-    not dense integers (e.g. layered-graph states addressed by tuples) and by
-    the Yen k-shortest-path candidate pool.  Amortised O(1) insert/meld and
-    O(log n) pop; decrease-key is o(log n) amortised. *)
+    A functional-interface-over-mutable-nodes min-heap, for keys that are
+    not dense integers; the simulator's event queue is built on it.
+    Amortised O(1) insert/meld and O(log n) pop; decrease-key is
+    o(log n) amortised. *)
 
 type 'a t
 type 'a handle

@@ -83,8 +83,8 @@ let test_types_allocate_atomic () =
 let test_approx_trap () =
   let net = trap_net () in
   match RR.Approx_cost.route net ~source:0 ~target:3 with
-  | None -> Alcotest.fail "approx must find the disjoint pair"
-  | Some sol ->
+  | Error _ -> Alcotest.fail "approx must find the disjoint pair"
+  | Ok sol ->
     checkb "valid" true (Types.validate net { src = 0; dst = 3 } sol = Ok ());
     check Alcotest.(float 1e-9) "total cost" 8.0 (Types.total_cost net sol)
 
@@ -94,15 +94,16 @@ let test_approx_none_on_bridge () =
       ~links:[ link 0 1; link 1 2 ]
       ~converters:(fun _ -> Conv.Full 0.0)
   in
-  checkb "no pair on a path graph" true (RR.Approx_cost.route net ~source:0 ~target:2 = None)
+  checkb "no pair on a path graph" true
+    (RR.Approx_cost.route net ~source:0 ~target:2 = Error Types.No_disjoint_pair)
 
 let test_approx_lemma2_refinement () =
   (* Lemma 2: refined cost <= auxiliary pair weight (full conversion). *)
   for seed = 1 to 20 do
     let net = random_net seed in
     match RR.Approx_cost.route_detailed net ~source:0 ~target:(Net.n_nodes net - 1) with
-    | None -> ()
-    | Some d ->
+    | Error _ -> ()
+    | Ok d ->
       checkb
         (Printf.sprintf "seed %d refinement no worse" seed)
         true
@@ -117,8 +118,8 @@ let prop_approx_solutions_valid =
       preload rng net 0.2;
       let target = Net.n_nodes net - 1 in
       match RR.Approx_cost.route net ~source:0 ~target with
-      | None -> true
-      | Some sol -> Types.validate net { src = 0; dst = target } sol = Ok ())
+      | Error _ -> true
+      | Ok sol -> Types.validate net { src = 0; dst = target } sol = Ok ())
 
 let prop_theorem2_ratio =
   QCheck.Test.make
@@ -130,11 +131,11 @@ let prop_theorem2_ratio =
         ( RR.Exact.route net ~source:0 ~target,
           RR.Approx_cost.route_detailed net ~source:0 ~target )
       with
-      | Some (_, opt), Some d ->
+      | Some (_, opt), Ok d ->
         opt > 0.0 && d.refined_cost <= (2.0 *. opt) +. 1e-6
-      | None, None -> true
-      | None, Some _ -> false (* approx cannot out-find the exact solver *)
-      | Some _, None ->
+      | None, Error _ -> true
+      | None, Ok _ -> false (* approx cannot out-find the exact solver *)
+      | Some _, Error _ ->
         (* The auxiliary-graph heuristic may miss pairs the exact solver
            finds (it commits to one Suurballe solution); tolerated. *)
         true)
@@ -151,7 +152,7 @@ let prop_approx_agrees_on_feasibility =
           g ~source:0 ~target
       in
       let approx = RR.Approx_cost.route net ~source:0 ~target in
-      if count < 2 then approx = None else true)
+      if count < 2 then Result.is_error approx else true)
 
 (* ------------------------------------------------------------------ *)
 (* Exact                                                                *)
@@ -178,8 +179,8 @@ let test_exact_beats_or_ties_everyone () =
       List.iter
         (fun policy ->
           match RR.Router.route net policy ~source:0 ~target with
-          | None -> ()
-          | Some sol ->
+          | Error _ -> ()
+          | Ok sol ->
             let c = Types.total_cost net sol in
             checkb
               (Printf.sprintf "seed %d: exact <= %s" seed (RR.Router.policy_name policy))
@@ -217,8 +218,8 @@ let test_mincog_prefers_light_links () =
   (* load the spine link e1 heavily *)
   Net.allocate net 1 0;
   (match RR.Mincog.route net ~source:0 ~target:3 with
-   | None -> Alcotest.fail "pair expected"
-   | Some r ->
+   | Error _ -> Alcotest.fail "pair expected"
+   | Ok r ->
      (* Optimal pair avoiding e1 entirely: {e0,e4} and {e3,e2} with
         bottleneck 0. *)
      check Alcotest.(float 1e-9) "bottleneck avoids loaded link" 0.0 r.bottleneck);
@@ -247,13 +248,13 @@ let prop_mincog_ratio_theorem3 =
       match
         (RR.Mincog.route net ~source:0 ~target, RR.Mincog.min_bottleneck net ~source:0 ~target)
       with
-      | None, None -> true
-      | Some r, Some (bstar, _) ->
+      | Error _, None -> true
+      | Ok r, Some (bstar, _) ->
         (* ratio on the threshold scale; guard the zero-load case *)
         if bstar <= 1e-9 then r.bottleneck <= 1.0
         else r.bottleneck /. bstar < 3.0 +. 1e-6
-      | Some _, None -> false
-      | None, Some _ -> false)
+      | Ok _, None -> false
+      | Error _, Some _ -> false)
 
 let prop_mincog_solutions_valid =
   QCheck.Test.make ~name:"mincog solutions validate" ~count:60 QCheck.small_int
@@ -263,8 +264,8 @@ let prop_mincog_solutions_valid =
       preload rng net 0.3;
       let target = Net.n_nodes net - 1 in
       match RR.Mincog.route net ~source:0 ~target with
-      | None -> true
-      | Some r -> Types.validate net { src = 0; dst = target } r.solution = Ok ())
+      | Error _ -> true
+      | Ok r -> Types.validate net { src = 0; dst = target } r.solution = Ok ())
 
 (* ------------------------------------------------------------------ *)
 (* Approx_load_cost (Section 4.2)                                       *)
@@ -278,8 +279,8 @@ let prop_load_cost_valid_and_bounded =
       preload rng net 0.3;
       let target = Net.n_nodes net - 1 in
       match RR.Approx_load_cost.route net ~source:0 ~target with
-      | None -> true
-      | Some r ->
+      | Error _ -> true
+      | Ok r ->
         Types.validate net { src = 0; dst = target } r.solution = Ok ()
         && r.bottleneck < r.theta +. 1e-9)
 
@@ -295,7 +296,7 @@ let test_load_cost_cheaper_than_load_only () =
     match
       (RR.Mincog.route net ~source:0 ~target, RR.Approx_load_cost.route net ~source:0 ~target)
     with
-    | Some a, Some b ->
+    | Ok a, Ok b ->
       incr comparisons;
       let ca = Types.total_cost net a.RR.Mincog.solution in
       let cb = Types.total_cost net b.RR.Approx_load_cost.solution in
@@ -312,7 +313,7 @@ let test_two_step_fails_on_trap () =
   let net = trap_net () in
   checkb "two-step trapped" true (RR.Baselines.two_step net ~source:0 ~target:3 = None);
   checkb "suurballe-based approx succeeds" true
-    (RR.Approx_cost.route net ~source:0 ~target:3 <> None)
+    (Result.is_ok (RR.Approx_cost.route net ~source:0 ~target:3))
 
 let test_unprotected_single_path () =
   let net = trap_net () in
@@ -421,6 +422,32 @@ let test_router_admit_respects_capacity () =
      exactly 2 disjoint-pair admissions. *)
   check Alcotest.int "two admissions fit" 2 !admitted
 
+let test_router_blocked_cause () =
+  (* The cause is a value: the same with observability off or on.  Its
+     journal code and reply name come from one table. *)
+  let run obs =
+    let net = trap_net () in
+    List.init 3 (fun _ ->
+        Result.map ignore
+          (RR.Router.admit_result ?obs net RR.Router.Cost_approx ~source:0
+             ~target:3))
+  in
+  let expected = [ Ok (); Ok (); Error Types.No_disjoint_pair ] in
+  checkb "obs off" true (run None = expected);
+  checkb "obs on" true (run (Some (Rr_obs.Obs.create ())) = expected);
+  List.iter
+    (fun (b, code, name) ->
+      check Alcotest.int (name ^ " code") code (Types.blocked_code b);
+      check Alcotest.string (name ^ " name") name (Types.blocked_name b);
+      checkb (name ^ " decodes") true (Types.blocked_of_code code = Some b))
+    [
+      (Types.No_disjoint_pair, 1, "no_disjoint_pair");
+      (Types.No_wavelength, 2, "no_wavelength");
+      (Types.No_route, 3, "no_route");
+      (Types.Validator "", 4, "validator_reject");
+    ];
+  checkb "code 0 decodes to nothing" true (Types.blocked_of_code 0 = None)
+
 let prop_admit_matches_route_cost =
   QCheck.Test.make ~name:"admit returns the same solution route computes"
     ~count:40 QCheck.small_int (fun seed ->
@@ -429,8 +456,8 @@ let prop_admit_matches_route_cost =
       let planned = RR.Router.route net RR.Router.Cost_approx ~source:0 ~target in
       let admitted = RR.Router.admit net RR.Router.Cost_approx ~source:0 ~target in
       match (planned, admitted) with
-      | None, None -> true
-      | Some a, Some b -> Types.total_cost net a = Types.total_cost net b
+      | Error _, None -> true
+      | Ok a, Some b -> Types.total_cost net a = Types.total_cost net b
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -626,6 +653,7 @@ let suite =
         Alcotest.test_case "policy names" `Quick test_router_policy_names_roundtrip;
         Alcotest.test_case "admit allocates" `Quick test_router_admit_allocates;
         Alcotest.test_case "admit respects capacity" `Quick test_router_admit_respects_capacity;
+        Alcotest.test_case "blocked cause" `Quick test_router_blocked_cause;
         qtest prop_admit_matches_route_cost;
       ] );
     ( "core.survivability",

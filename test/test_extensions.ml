@@ -41,10 +41,10 @@ let test_node_protect_refuses_waist () =
   let net = hourglass () in
   (* Edge-disjoint pairs 0 -> 5 exist (e.g. 0-1-2-3-5 and 0-2-4-5)... *)
   checkb "edge-disjoint pair exists" true
-    (RR.Approx_cost.route net ~source:0 ~target:5 <> None);
+    (Result.is_ok (RR.Approx_cost.route net ~source:0 ~target:5));
   (* ... but every 0 -> 5 path transits node 2. *)
   checkb "node-disjoint pair impossible" true
-    (RR.Node_protect.route net ~source:0 ~target:5 = None)
+    (Result.is_error (RR.Node_protect.route net ~source:0 ~target:5))
 
 let test_node_protect_on_ring () =
   let net =
@@ -52,8 +52,8 @@ let test_node_protect_on_ring () =
       (Rr_topo.Reference.ring 6)
   in
   match RR.Node_protect.route net ~source:0 ~target:3 with
-  | None -> Alcotest.fail "ring arcs are node-disjoint"
-  | Some sol ->
+  | Error _ -> Alcotest.fail "ring arcs are node-disjoint"
+  | Ok sol ->
     checkb "valid" true (Types.validate net { src = 0; dst = 3 } sol = Ok ());
     checkb "node disjoint" true (RR.Node_protect.node_disjoint net sol)
 
@@ -63,8 +63,8 @@ let prop_node_protect_solutions_node_disjoint =
       let net = random_net (seed + 17) in
       let target = Net.n_nodes net - 1 in
       match RR.Node_protect.route net ~source:0 ~target with
-      | None -> true
-      | Some sol ->
+      | Error _ -> true
+      | Ok sol ->
         Types.validate net { src = 0; dst = target } sol = Ok ()
         && RR.Node_protect.node_disjoint net sol)
 
@@ -78,7 +78,7 @@ let prop_node_protect_never_beats_edge_protect =
         ( RR.Node_protect.route net ~source:0 ~target,
           RR.Exact.route net ~source:0 ~target )
       with
-      | Some sol, Some (_, opt) -> Types.total_cost net sol >= opt -. 1e-6
+      | Ok sol, Some (_, opt) -> Types.total_cost net sol >= opt -. 1e-6
       | _ -> true)
 
 (* ------------------------------------------------------------------ *)
@@ -135,8 +135,8 @@ let prop_multi_protect_k2_close_to_suurballe =
         ( RR.Multi_protect.route net ~k:2 ~source:0 ~target,
           RR.Approx_cost.route net ~source:0 ~target )
       with
-      | None, None -> true
-      | Some paths, Some sol ->
+      | None, Error _ -> true
+      | Some paths, Ok sol ->
         let ck2 = List.fold_left (fun acc p -> acc +. Slp.cost net p) 0.0 paths in
         let ca = Types.total_cost net sol in
         Float.abs (ck2 -. ca) < 0.5 *. Float.max 1.0 (Float.max ck2 ca)
@@ -319,7 +319,7 @@ let prop_shared_protection_conserves =
              the sharing layer *)
           let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:n in
           match RR.Approx_cost.route (SP.network sp) ~source:s ~target:d with
-          | Some { Types.primary; backup = Some b } -> (
+          | Ok { Types.primary; backup = Some b } -> (
             let id = !next in
             incr next;
             match
@@ -543,12 +543,12 @@ let test_srlg_avoids_shared_conduit () =
   let groups = conduit_groups () in
   (* Plain edge-disjoint routing happily uses both conduit links. *)
   (match RR.Approx_cost.route net ~source:0 ~target:3 with
-   | Some sol ->
+   | Ok sol ->
      checkb "edge-disjoint pair shares the trench" true
        (Srlg.share_risk groups
           (Slp.links sol.Types.primary)
           (Slp.links (Option.get sol.Types.backup)))
-   | None -> Alcotest.fail "edge-disjoint pair exists");
+   | Error _ -> Alcotest.fail "edge-disjoint pair exists");
   (* SRLG-aware routing must route one path over the detour. *)
   match Srlg.route net groups ~source:0 ~target:3 with
   | None -> Alcotest.fail "srlg pair exists via the detour"

@@ -6,7 +6,6 @@ module Bellman_ford = Rr_graph.Bellman_ford
 module Traversal = Rr_graph.Traversal
 module Suurballe = Rr_graph.Suurballe
 module Flow = Rr_graph.Flow
-module Yen = Rr_graph.Yen
 module Path = Rr_graph.Path
 module Rng = Rr_util.Rng
 
@@ -386,134 +385,6 @@ let test_disjoint_paths_count () =
   let g = Digraph.of_edges 4 [ (0, 1); (1, 3); (0, 2); (2, 3); (0, 3) ] in
   check Alcotest.int "three disjoint" 3 (Flow.disjoint_paths_count g ~source:0 ~target:3)
 
-(* ------------------------------------------------------------------ *)
-(* Yen                                                                  *)
-
-let all_simple_paths g ~source ~target =
-  (* brute force for cross-checking *)
-  let n = Digraph.n_nodes g in
-  let visited = Array.make n false in
-  let acc = ref [] in
-  let rec dfs v path =
-    if v = target then acc := List.rev path :: !acc
-    else begin
-      visited.(v) <- true;
-      Array.iter
-        (fun e ->
-          let u = Digraph.dst g e in
-          if not visited.(u) then dfs u (e :: path))
-        (Digraph.out_edges g v);
-      visited.(v) <- false
-    end
-  in
-  dfs source [];
-  !acc
-
-let test_yen_diamond () =
-  let g, w = diamond () in
-  let paths = Yen.k_shortest g ~weight:(Array.get w) ~source:0 ~target:3 ~k:10 in
-  check Alcotest.int "three simple paths" 3 (List.length paths);
-  let costs = List.map snd paths in
-  check Alcotest.(list (float 1e-9)) "sorted costs" [ 6.0; 7.0; 7.0 ] costs
-
-let prop_yen_matches_brute_force =
-  QCheck.Test.make ~name:"yen enumerates all simple paths in order" ~count:80
-    QCheck.small_int (fun seed ->
-      let rng = Rng.create (seed + 1000) in
-      let n = 2 + Rng.int rng 5 in
-      let b = Digraph.builder n in
-      let weights = ref [] in
-      for v = 0 to n - 2 do
-        ignore (Digraph.add_edge b v (v + 1));
-        weights := (1.0 +. Rng.float rng 9.0) :: !weights
-      done;
-      for _ = 1 to Rng.int rng 8 do
-        let u = Rng.int rng n and v = Rng.int rng n in
-        if u <> v then begin
-          ignore (Digraph.add_edge b u v);
-          weights := (1.0 +. Rng.float rng 9.0) :: !weights
-        end
-      done;
-      let g = Digraph.freeze b in
-      let wa = Array.of_list (List.rev !weights) in
-      let w e = wa.(e) in
-      let target = n - 1 in
-      let brute =
-        all_simple_paths g ~source:0 ~target
-        |> List.map (fun p -> Dijkstra.path_cost ~weight:wa p)
-        |> List.sort compare
-      in
-      let yen =
-        Yen.k_shortest g ~weight:w ~source:0 ~target ~k:(List.length brute + 5)
-        |> List.map snd
-      in
-      List.length yen = List.length brute
-      && List.for_all2 (fun a b -> Float.abs (a -. b) < 1e-6) yen brute
-      &&
-      (* non-decreasing *)
-      fst
-        (List.fold_left
-           (fun (ok, prev) c -> (ok && c >= prev -. 1e-9, c))
-           (true, neg_infinity) yen))
-
-let prop_yen_paths_simple_and_distinct =
-  QCheck.Test.make ~name:"yen paths are simple and distinct" ~count:100
-    QCheck.small_int (fun seed ->
-      let g, w = random_graph seed in
-      let target = Digraph.n_nodes g - 1 in
-      let paths = Yen.k_shortest g ~weight:(Array.get w) ~source:0 ~target ~k:12 in
-      let edges = List.map fst paths in
-      List.length (List.sort_uniq compare edges) = List.length edges
-      && List.for_all (fun p -> Path.is_simple g ~source:0 p) edges)
-
-(* ------------------------------------------------------------------ *)
-(* Apsp                                                                 *)
-
-module Apsp = Rr_graph.Apsp
-
-let test_apsp_diamond () =
-  let g, w = diamond () in
-  match Apsp.johnson g ~weight:(Array.get w) with
-  | None -> Alcotest.fail "no negative cycle here"
-  | Some dist ->
-    check Alcotest.(float 1e-9) "0->3" 6.0 dist.(0).(3);
-    check Alcotest.(float 1e-9) "1->3" 5.0 dist.(1).(3);
-    check Alcotest.(float 1e-9) "self" 0.0 dist.(2).(2);
-    checkb "3 cannot reach 0" true (dist.(3).(0) = infinity);
-    check Alcotest.(float 1e-9) "diameter" 6.0 (Apsp.diameter dist)
-
-let test_apsp_negative_weights () =
-  let g = Digraph.of_edges 3 [ (0, 1); (1, 2); (0, 2) ] in
-  let w = [| 4.0; -2.0; 3.0 |] in
-  match Apsp.johnson g ~weight:(fun e -> w.(e)) with
-  | None -> Alcotest.fail "no cycle"
-  | Some dist -> check Alcotest.(float 1e-9) "uses negative edge" 2.0 dist.(0).(2)
-
-let test_apsp_negative_cycle () =
-  let g = Digraph.of_edges 2 [ (0, 1); (1, 0) ] in
-  let w = [| 1.0; -3.0 |] in
-  checkb "johnson rejects" true (Apsp.johnson g ~weight:(fun e -> w.(e)) = None);
-  checkb "floyd rejects" true (Apsp.floyd_warshall g ~weight:(fun e -> w.(e)) = None)
-
-let prop_johnson_matches_floyd_warshall =
-  QCheck.Test.make ~name:"johnson = floyd-warshall on random graphs" ~count:100
-    QCheck.small_int (fun seed ->
-      let g, w = random_graph (seed + 71) in
-      match (Apsp.johnson g ~weight:(Array.get w), Apsp.floyd_warshall g ~weight:(Array.get w)) with
-      | Some a, Some b ->
-        let n = Digraph.n_nodes g in
-        let ok = ref true in
-        for i = 0 to n - 1 do
-          for j = 0 to n - 1 do
-            let da = a.(i).(j) and db = b.(i).(j) in
-            if Float.is_finite da <> Float.is_finite db then ok := false
-            else if Float.is_finite da && Float.abs (da -. db) > 1e-6 then ok := false
-          done
-        done;
-        !ok
-      | None, None -> true
-      | _ -> false)
-
 let suite =
   [
     ( "graph.digraph",
@@ -568,18 +439,5 @@ let suite =
         Alcotest.test_case "min cost prefers cheap" `Quick test_min_cost_flow_prefers_cheap;
         Alcotest.test_case "infeasible amount" `Quick test_min_cost_flow_infeasible;
         Alcotest.test_case "disjoint count" `Quick test_disjoint_paths_count;
-      ] );
-    ( "graph.apsp",
-      [
-        Alcotest.test_case "diamond" `Quick test_apsp_diamond;
-        Alcotest.test_case "negative weights" `Quick test_apsp_negative_weights;
-        Alcotest.test_case "negative cycle" `Quick test_apsp_negative_cycle;
-        qtest prop_johnson_matches_floyd_warshall;
-      ] );
-    ( "graph.yen",
-      [
-        Alcotest.test_case "diamond" `Quick test_yen_diamond;
-        qtest prop_yen_matches_brute_force;
-        qtest prop_yen_paths_simple_and_distinct;
       ] );
   ]

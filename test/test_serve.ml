@@ -235,10 +235,11 @@ let test_core_basics () =
    | Sp.Released { id } -> checki "released id" id0 id
    | _ -> Alcotest.fail "release");
   checki "network drained" 0 (Net.total_in_use (Sc.network core));
-  (* Blocking on a path graph (no disjoint pair exists). *)
+  (* Blocking on a path graph (no disjoint pair exists): the cause is
+     named even though this core's observability is off. *)
   let blocked = Sc.create (path3 ()) in
   (match Sc.handle blocked (Sp.Admit { src = 0; dst = 2; policy = None }) with
-   | Sp.Blocked _ -> ()
+   | Sp.Blocked { cause = "no_disjoint_pair" } -> ()
    | r -> Alcotest.failf "expected blocked: %s" (Sp.encode_response r));
   (* Shutdown flips [stopping]. *)
   checkb "not stopping" false (Sc.stopping core);
@@ -540,14 +541,14 @@ let test_server_differential () =
           let p = Option.value policy ~default:Router.Cost_approx in
           let rid = !next_id in
           incr next_id;
-          match Router.admit net p ~source:src ~target:dst with
-          | Some sol ->
+          match Router.admit_result net p ~source:src ~target:dst with
+          | Ok sol ->
             Hashtbl.replace conns rid sol;
             incr admitted_total;
             Sp.Admitted { id = rid; cost = Types.total_cost net sol }
-          | None ->
+          | Error b ->
             incr blocked_total;
-            Sp.Blocked { cause = "unknown" })
+            Sp.Blocked { cause = Types.blocked_name b })
         | Sp.Release { id } -> (
           match Hashtbl.find_opt conns id with
           | Some sol ->
