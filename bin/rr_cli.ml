@@ -212,7 +212,7 @@ let route_cmd =
     let net = resolve_net file topo w seed in
     if s < 0 || s >= Net.n_nodes net || d < 0 || d >= Net.n_nodes net || s = d then
       die "invalid node pair %d -> %d" s d;
-    let result = Router.route ~obs net policy ~source:s ~target:d in
+    let result = Router.route ~obs (Router.context net) policy ~source:s ~target:d in
     export_obs obs metrics trace journal;
     match result with
     | Error b ->
@@ -455,11 +455,13 @@ let audit_cmd =
   let run topo w seed =
     let net = build_net topo w seed in
     let n = Net.n_nodes net in
+    let ctx = Router.context net in
     let stranded = ref 0 and ok = ref 0 in
     for s = 0 to n - 1 do
       for d = 0 to n - 1 do
         if s <> d then
-          if Result.is_error (RR.Approx_cost.route net ~source:s ~target:d) then begin
+          if Result.is_error (Router.route ctx Router.Cost_approx ~source:s ~target:d)
+          then begin
             incr stranded;
             Printf.printf "stranded: %d -> %d\n" s d
           end
@@ -750,7 +752,7 @@ let dot_cmd =
     let highlight =
       match (s, d) with
       | Some s, Some d -> (
-        match Router.route net policy ~source:s ~target:d with
+        match Router.route (Router.context net) policy ~source:s ~target:d with
         | Error b ->
           Printf.eprintf "no robust route %d -> %d (%s)\n" s d (RR.Types.blocked_name b);
           exit 2
@@ -899,8 +901,7 @@ let obs_trace_cmd =
     (* Deterministic corpus replay: admit every ordered pair ascending,
        request ids 0.., sampling off so every request's spans survive. *)
     let obs = Rr_obs.Obs.create () in
-    let ws = Rr_util.Workspace.create () in
-    let aux_cache = Rr_wdm.Aux_cache.create net in
+    let ctx = Router.context net in
     let n = Net.n_nodes net in
     let pairs = ref [] in
     let rid = ref 0 in
@@ -908,9 +909,8 @@ let obs_trace_cmd =
       for d = 0 to n - 1 do
         if s <> d then begin
           ignore
-            (Router.admit ~aux_cache ~workspace:ws ~obs ~req:!rid net policy
-               ~source:s ~target:d
-              : RR.Types.solution option);
+            (Router.admit_result ~obs ~req:!rid ctx policy ~source:s ~target:d
+              : (RR.Types.solution, RR.Types.blocked) result);
           pairs := (!rid, (s, d)) :: !pairs;
           incr rid
         end

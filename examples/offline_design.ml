@@ -57,11 +57,12 @@ let () =
   print_endline "== conduit (SRLG) exposure ==";
   let net2 = Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:4 topo in
   let groups = RR.Srlg.conduits_of_topology ~rng net2 ~conduits:8 in
+  let ctx = RR.Router.context net2 in
   let exposed = ref 0 and checked = ref 0 and fixed = ref 0 in
   for s = 0 to 13 do
     for d = 0 to 13 do
       if s <> d then begin
-        match RR.Approx_cost.route net2 ~source:s ~target:d with
+        match RR.Router.route ctx RR.Router.Cost_approx ~source:s ~target:d with
         | Error _ -> ()
         | Ok sol ->
           incr checked;

@@ -33,7 +33,8 @@ let () =
 
   (* 2. Ask for a robust route: two edge-disjoint semilightpaths 0 -> 3,
         minimising total cost (the paper's Section 3.3 algorithm). *)
-  match RR.Router.route net RR.Router.Cost_approx ~source:0 ~target:3 with
+  let ctx = RR.Router.context net in
+  match RR.Router.route ctx RR.Router.Cost_approx ~source:0 ~target:3 with
   | Error b ->
     Printf.printf "No robust route exists (%s).\n" (RR.Types.blocked_name b)
   | Ok sol ->

@@ -26,9 +26,10 @@ let () =
   let n = Net.n_nodes net in
   let admitted = ref [] in
   let attempts = 40 in
+  let ctx = RR.Router.context net in
   for id = 1 to attempts do
     let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:n in
-    match RR.Approx_cost.route net ~source:s ~target:d with
+    match RR.Router.route ctx RR.Router.Cost_approx ~source:s ~target:d with
     | Ok { RR.Types.primary; backup = Some b } -> (
       match SP.admit sp ~conn:id ~primary ~backup_links:(Slp.links b) with
       | Some _ -> admitted := id :: !admitted

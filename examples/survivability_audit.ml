@@ -38,10 +38,11 @@ let () =
   let protectable = ref 0 in
   let unprotectable = ref [] in
   let overheads = ref [] in
+  let ctx = RR.Router.context net in
   for s = 0 to n - 1 do
     for d = 0 to n - 1 do
       if s <> d then begin
-        match RR.Approx_cost.route net ~source:s ~target:d with
+        match RR.Router.route ctx RR.Router.Cost_approx ~source:s ~target:d with
         | Ok sol ->
           incr protectable;
           (match RR.Baselines.unprotected net ~source:s ~target:d with

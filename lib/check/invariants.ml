@@ -198,7 +198,10 @@ let check_solution net ~policy ~source ~target sol =
 let check_routed_pair inst =
   let net = Instance.network inst in
   let policy = inst.Instance.policy in
-  match Router.route net policy ~source:inst.source ~target:inst.target with
+  match
+    Router.route (Router.context net) policy ~source:inst.source
+      ~target:inst.target
+  with
   | Error _ -> None (* feasibility is the oracles' business *)
   | Ok sol -> check_solution net ~policy ~source:inst.source ~target:inst.target sol
 
@@ -218,7 +221,8 @@ let check_oracles inst =
   else begin
     let source = inst.Instance.source and target = inst.Instance.target in
     let approx =
-      Result.to_option (Router.route net Router.Cost_approx ~source ~target)
+      Result.to_option
+        (Router.route (Router.context net) Router.Cost_approx ~source ~target)
     in
     match RR.Exact.route ~max_paths:8_000 net ~source ~target with
     | exception RR.Exact.Budget_exceeded -> None
@@ -322,8 +326,11 @@ let check_weight_scale inst =
   in
   let net1 = Instance.network inst and net2 = Instance.network scaled in
   let policy = inst.Instance.policy in
-  let r1 = Router.route net1 policy ~source:inst.source ~target:inst.target in
-  let r2 = Router.route net2 policy ~source:inst.source ~target:inst.target in
+  let route net =
+    Router.route (Router.context net) policy ~source:inst.source
+      ~target:inst.target
+  in
+  let r1 = route net1 and r2 = route net2 in
   match (r1, r2) with
   | Error _, Error _ -> None
   | Ok _, Error _ -> fail "route vanished after uniform x%g weight scaling" k
@@ -405,10 +412,13 @@ let check_permutation inst =
 let check_obs_jobs inst =
   let net = Instance.network inst in
   let policy = inst.Instance.policy in
-  let plain = Router.route net policy ~source:inst.source ~target:inst.target in
-  let with_obs =
-    Router.route ~obs:(Rr_obs.Obs.create ()) net policy ~source:inst.source
+  let plain =
+    Router.route (Router.context net) policy ~source:inst.source
       ~target:inst.target
+  in
+  let with_obs =
+    Router.route ~obs:(Rr_obs.Obs.create ()) (Router.context net) policy
+      ~source:inst.source ~target:inst.target
   in
   let* () =
      if plain <> with_obs then fail "enabling observability changed the route" else None
@@ -497,7 +507,10 @@ let check_aux_cache inst =
   let m = Net.n_links net in
   if m = 0 then None
   else begin
-    let cache = Cache.create net in
+    let policy = inst.Instance.policy in
+    let ctx = Router.context net in
+    let cache = Router.cache ctx in
+    let ws = Rr_util.Workspace.create () in
     (* Deterministic function of the instance (the shrinker replays it):
        the op sequence is derived from the instance's own shape. *)
     let rng =
@@ -509,30 +522,63 @@ let check_aux_cache inst =
              inst.Instance.source,
              inst.Instance.target ))
     in
-    let compare_once s d =
-      let fresh = Aux.gprime net ~source:s ~target:d in
-      ignore (Cache.sync cache : Cache.sync_stats);
-      let view, en = Cache.gprime_view cache ~source:s ~target:d in
+    (* A fresh graph against the cache's view of it: arcs and weights bit
+       for bit, then the Suurballe pair. *)
+    let compare_graph what s d fresh (view, en) =
       if aux_projection fresh (fun _ -> true) <> aux_projection view en then
-        fail "cached G' arcs/weights differ from fresh (request %d->%d)" s d
-      else begin
-        let pf = pair_projection fresh (Aux.disjoint_pair fresh) in
-        let pc = pair_projection view (Aux.disjoint_pair ~enabled:en view) in
-        let* () =
-          if pf <> pc then
-            fail "cached Suurballe result differs from fresh (request %d->%d)" s d
-          else None
+        fail "cached %s arcs/weights differ from fresh (request %d->%d)" what s d
+      else if
+        pair_projection fresh (Aux.disjoint_pair fresh)
+        <> pair_projection view (Aux.disjoint_pair ~enabled:en view)
+      then fail "cached %s Suurballe result differs from fresh (request %d->%d)" what s d
+      else None
+    in
+    let compare_once s d =
+      ignore (Cache.sync cache : Cache.sync_stats);
+      let* () =
+        compare_graph "G'" s d
+          (Aux.gprime net ~source:s ~target:d)
+          (Cache.gprime_view cache ~source:s ~target:d)
+      in
+      (* The load policies route on G_c (every threshold of the sweep) and
+         G_rc (the accepted one): check both views at every threshold. *)
+      let* () =
+        match policy with
+        | Router.Load_aware | Router.Load_cost ->
+          List.fold_left
+            (fun acc theta ->
+              let* () = acc in
+              let* () =
+                compare_graph "G_c" s d
+                  (Aux.gc net ~theta ~source:s ~target:d ())
+                  (Cache.gc_view cache ~theta ~source:s ~target:d ())
+              in
+              compare_graph "G_rc" s d
+                (Aux.grc net ~theta ~source:s ~target:d)
+                (Cache.grc_view cache ~theta ~source:s ~target:d))
+            None (RR.Mincog.thresholds net)
+        | _ -> None
+      in
+      (* End to end: the long-lived context decides as a fresh one does,
+         and for Cost_approx as the pipeline on a from-scratch G'. *)
+      let cached = Router.route ctx policy ~source:s ~target:d in
+      let fresh = Router.route (Router.context net) policy ~source:s ~target:d in
+      let* () =
+        if cached <> fresh then
+          fail "long-lived context decides unlike a fresh one (request %d->%d)" s d
+        else None
+      in
+      match policy with
+      | Router.Cost_approx ->
+        let oracle =
+          RR.Approx_cost.route_on ~workspace:ws net
+            (Aux.gprime net ~source:s ~target:d)
+            ~source:s ~target:d
         in
-        (* End to end: the full policy decision must be byte-identical. *)
-        let plain = Router.route net inst.Instance.policy ~source:s ~target:d in
-        let cached =
-          Router.route ~aux_cache:cache net inst.Instance.policy ~source:s
-            ~target:d
-        in
-        if plain <> cached then
+        if Result.map (fun r -> r.RR.Approx_cost.solution) oracle <> cached then
           fail "cached routing decision differs from rebuild (request %d->%d)" s d
         else None
-      end
+      | _ -> None
     in
     let random_pair () =
       let s = Rng.int rng n in
@@ -553,12 +599,9 @@ let check_aux_cache inst =
            release, or a failure-state flip. *)
         let r = Rng.uniform rng in
         if r < 0.5 then (
-          match
-            Router.admit ~aux_cache:cache net inst.Instance.policy ~source:s
-              ~target:d
-          with
-          | Some sol -> admitted := sol :: !admitted
-          | None -> ())
+          match Router.admit_result ctx policy ~source:s ~target:d with
+          | Ok sol -> admitted := sol :: !admitted
+          | Error _ -> ())
         else if r < 0.8 then (
           match !admitted with
           | [] -> ()
@@ -690,6 +733,7 @@ let serve_repr (r : Sp.response) =
 
 let check_serve inst =
   let net_ref = Instance.network inst in
+  let ref_ctx = Router.context net_ref in
   let n = Net.n_nodes net_ref in
   let m = Net.n_links net_ref in
   if m = 0 then None
@@ -758,7 +802,7 @@ let check_serve inst =
           let p = Option.value p ~default:policy in
           let rid = !next_id in
           incr next_id;
-          match Router.admit_result net_ref p ~source:src ~target:dst with
+          match Router.admit_result ref_ctx p ~source:src ~target:dst with
           | Ok sol ->
             Hashtbl.replace ref_conns rid sol;
             incr admitted_total;
@@ -943,7 +987,7 @@ let check_survive inst =
              15 ))
     in
     let policy = inst.Instance.policy in
-    let aux_cache = Rr_wdm.Aux_cache.create net in
+    let ctx = Router.context net in
     let exposure =
       if Rng.uniform rng < 0.5 then Protect.All
       else begin
@@ -969,16 +1013,16 @@ let check_survive inst =
       incr next_id;
       let admitted =
         if id land 1 = 0 then
-          match Router.admit ~aux_cache ~req:id net policy ~source:s ~target:d with
-          | Some sol ->
+          match Router.admit_result ~req:id ctx policy ~source:s ~target:d with
+          | Ok sol ->
             let prot =
               match sol.Types.backup with
               | Some b -> Protect.Full b
               | None -> Protect.Unprotected
             in
             Some (sol.Types.primary, prot)
-          | None -> None
-        else Protect.admit ~aux_cache ~exposure net ~source:s ~target:d
+          | Error _ -> None
+        else Protect.admit ~exposure ctx ~source:s ~target:d
       in
       match admitted with
       | None -> ()
@@ -1001,9 +1045,8 @@ let check_survive inst =
             let rid = !next_id in
             incr next_id;
             match
-              Restore.restore ~aux_cache ~req:rid
-                ~reprovision:(Rng.uniform rng < 0.3)
-                net policy
+              Restore.restore ~req:rid ~reprovision:(Rng.uniform rng < 0.3) ctx
+                policy
                 ~request:{ Types.src = c.sc_src; dst = c.sc_dst }
                 ~primary:c.sc_active ~protection:c.sc_prot
             with

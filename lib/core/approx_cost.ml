@@ -3,6 +3,7 @@ module Layered = Rr_wdm.Layered
 module Slp = Rr_wdm.Semilightpath
 module Workspace = Rr_util.Workspace
 module Obs = Rr_obs.Obs
+module Cache = Rr_wdm.Aux_cache
 
 type detail = {
   aux : Aux.t;
@@ -14,52 +15,30 @@ type detail = {
 }
 
 (* Refine one auxiliary path: optimal semilightpath within the physical
-   subgraph its traversal arcs induce.  With a workspace, link-subset
-   membership uses its stamped mark set (independent of the distance
-   epoch, so the layered search below may reset distances freely).
+   subgraph its traversal arcs induce.  Link-subset membership uses the
+   workspace's stamped mark set (independent of the distance epoch, so
+   the layered search below may reset distances freely).
 
    The layered optimum is a walk in the wavelength graph; with
    range-limited converters it can revisit a physical link on a second
    wavelength (bouncing between adjacent converter nodes to emulate a
    multi-step conversion).  Such walks are not semilightpaths, so they are
    screened out here — the candidate subgraph then has no refinement. *)
-let refine net ?workspace ?(obs = Obs.null) ~source ~target links =
-  let result =
-    match workspace with
-    | Some ws ->
-      Workspace.mark_reset ws (Rr_wdm.Network.n_links net);
-      List.iter (Workspace.mark ws) links;
-      Layered.optimal net ~link_enabled:(Workspace.marked ws) ~obs ~workspace:ws
-        ~source ~target
-    | None ->
-      let set = Hashtbl.create 16 in
-      List.iter (fun e -> Hashtbl.replace set e ()) links;
-      (* lint: no-thread — ?workspace is statically None in this branch *)
-      Layered.optimal net ~link_enabled:(Hashtbl.mem set) ~obs ~source ~target
-  in
-  match result with
+let refine ~workspace ?(obs = Obs.null) net ~source ~target links =
+  Workspace.mark_reset workspace (Rr_wdm.Network.n_links net);
+  List.iter (Workspace.mark workspace) links;
+  match
+    Layered.optimal net ~link_enabled:(Workspace.marked workspace) ~obs ~workspace
+      ~source ~target
+  with
   | Some (p, _) when not (Slp.link_simple p) ->
     Obs.add obs "refine.nonsimple" 1;
     None
   | r -> r
 
-let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
-  let aux, enabled =
-    match aux_cache with
-    | Some cache ->
-      if Rr_wdm.Aux_cache.network cache != net then
-        invalid_arg "Approx_cost: aux_cache bound to a different network";
-      ignore (Rr_wdm.Aux_cache.sync ~obs cache : Rr_wdm.Aux_cache.sync_stats);
-      let aux, enabled = Rr_wdm.Aux_cache.gprime_view cache ~source ~target in
-      (aux, Some enabled)
-    | None ->
-      let t0 = Obs.start obs in
-      let aux = Aux.gprime net ~source ~target in
-      Obs.stop obs "stage.aux_graph" t0;
-      (aux, None)
-  in
+let route_on ~workspace ?(obs = Obs.null) ?enabled net aux ~source ~target =
   let t0 = Obs.start obs in
-  let pair = Aux.disjoint_pair ~obs ?workspace ?enabled aux in
+  let pair = Aux.disjoint_pair ~obs ~workspace ?enabled aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
   | None -> Error Types.No_disjoint_pair
@@ -69,8 +48,8 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
     let links2 = Aux.links_of_path aux p2 in
     Obs.stop obs "stage.induce" t0;
     let t0 = Obs.start obs in
-    let r1 = refine net ?workspace ~obs ~source ~target links1
-    and r2 = refine net ?workspace ~obs ~source ~target links2 in
+    let r1 = refine ~workspace ~obs net ~source ~target links1
+    and r2 = refine ~workspace ~obs net ~source ~target links2 in
     Obs.stop obs "stage.refine" t0;
     (match (r1, r2) with
      | Some (sl1, c1), Some (sl2, c2) ->
@@ -89,7 +68,12 @@ let route_detailed ?aux_cache ?workspace ?(obs = Obs.null) net ~source ~target =
          }
      | _ -> Error Types.No_wavelength)
 
-let route ?aux_cache ?workspace ?obs net ~source ~target =
+let route_detailed ~workspace ?(obs = Obs.null) cache ~source ~target =
+  ignore (Cache.sync ~obs cache : Cache.sync_stats);
+  let aux, enabled = Cache.gprime_view cache ~source ~target in
+  route_on ~workspace ~obs ~enabled (Cache.network cache) aux ~source ~target
+
+let route ~workspace ?obs cache ~source ~target =
   Result.map
     (fun d -> d.solution)
-    (route_detailed ?aux_cache ?workspace ?obs net ~source ~target)
+    (route_detailed ~workspace ?obs cache ~source ~target)

@@ -8,29 +8,16 @@ type result = {
   solution : Types.solution;
 }
 
-let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
-    ~target =
+let route ~workspace ?(obs = Obs.null) cache ~source ~target =
   (* Phase 1 syncs the cache; the network is untouched between phases, so
      the G_rc view below needs no second sync. *)
-  match
-    Mincog.route ?aux_cache ?base ?resolution ?workspace ~obs net ~source
-      ~target
-  with
+  match Mincog.route ~workspace ~obs cache ~source ~target with
   | Error b -> Error b
   | Ok phase1 ->
+    let net = Rr_wdm.Aux_cache.network cache in
     let theta = phase1.Mincog.theta in
-    let aux, enabled =
-      match aux_cache with
-      | Some cache ->
-        let aux, enabled = Rr_wdm.Aux_cache.grc_view cache ~theta ~source ~target in
-        (aux, Some enabled)
-      | None ->
-        let t0 = Obs.start obs in
-        let aux = Aux.grc net ~theta ~source ~target in
-        Obs.stop obs "stage.aux_graph" t0;
-        (aux, None)
-    in
-    (match Aux.disjoint_pair ~obs ?workspace ?enabled aux with
+    let aux, enabled = Rr_wdm.Aux_cache.grc_view cache ~theta ~source ~target in
+    (match Aux.disjoint_pair ~obs ~workspace ~enabled aux with
      | None ->
        (* ϑ was feasible in phase 1, so G_rc (same topology as G_c) must
           admit a pair; fall back to the phase-1 routes defensively. *)
@@ -44,8 +31,8 @@ let route ?aux_cache ?base ?resolution ?workspace ?(obs = Obs.null) net ~source
        let links1 = Aux.links_of_path aux p1 in
        let links2 = Aux.links_of_path aux p2 in
        (match
-          ( Approx_cost.refine net ?workspace ~obs ~source ~target links1,
-            Approx_cost.refine net ?workspace ~obs ~source ~target links2 )
+          ( Approx_cost.refine ~workspace ~obs net ~source ~target links1,
+            Approx_cost.refine ~workspace ~obs net ~source ~target links2 )
         with
         | Some (sl1, c1), Some (sl2, c2) ->
           let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in

@@ -1,7 +1,7 @@
 (** Section 4.2 — minimising network load *and* routing cost.
 
     Phase 1 fixes a feasible load threshold [ϑ] with
-    {!Mincog.route}; phase 2 rebuilds the threshold-filtered auxiliary
+    {!Mincog.route}; phase 2 routes on the threshold-filtered auxiliary
     graph with cost weights ([G_rc]), runs Suurballe, and refines the two
     induced subgraphs into optimal semilightpaths.  This is the paper's
     headline "simultaneous" algorithm: among the lightly-loaded part of the
@@ -14,15 +14,14 @@ type result = {
 }
 
 val route :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?base:float ->
-  ?resolution:int ->
-  ?workspace:Rr_util.Workspace.t ->
+  workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
-  Rr_wdm.Network.t ->
+  Rr_wdm.Aux_cache.t ->
   source:int ->
   target:int ->
   (result, Types.blocked) Stdlib.result
-(** [Error] only when phase 1 ({!Mincog.route}) blocks, with its cause;
-    once a threshold is feasible, phase 2 falls back to the phase-1 pair
-    rather than blocking. *)
+(** Both phases on the cache's network: phase 1 syncs it and probes its
+    [G_c] views, phase 2 routes on its [G_rc] view at the accepted
+    threshold.  [Error] only when phase 1 ({!Mincog.route}) blocks, with
+    its cause; once a threshold is feasible, phase 2 falls back to the
+    phase-1 pair rather than blocking. *)

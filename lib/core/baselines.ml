@@ -10,24 +10,16 @@ let simple_only = function
   | Some (p, _) when not (Slp.link_simple p) -> None
   | r -> r
 
-let two_step ?workspace ?(obs = Obs.null) net ~source ~target =
-  match simple_only (Layered.optimal ~obs ?workspace net ~source ~target) with
+let two_step ~workspace ?(obs = Obs.null) net ~source ~target =
+  match simple_only (Layered.optimal ~obs ~workspace net ~source ~target) with
   | None -> None
   | Some (p1, _) ->
-    let link_enabled =
-      match workspace with
-      | Some ws ->
-        Rr_util.Workspace.mark_reset ws (Net.n_links net);
-        List.iter (Rr_util.Workspace.mark ws) (Slp.links p1);
-        fun e -> not (Rr_util.Workspace.marked ws e)
-      | None ->
-        let used = Hashtbl.create 16 in
-        List.iter (fun e -> Hashtbl.replace used e ()) (Slp.links p1);
-        fun e -> not (Hashtbl.mem used e)
-    in
+    Rr_util.Workspace.mark_reset workspace (Net.n_links net);
+    List.iter (Rr_util.Workspace.mark workspace) (Slp.links p1);
+    let link_enabled e = not (Rr_util.Workspace.marked workspace e) in
     (match
        simple_only
-         (Layered.optimal ~obs ?workspace net ~link_enabled ~source ~target)
+         (Layered.optimal ~obs ~workspace net ~link_enabled ~source ~target)
      with
      | None -> None
      | Some (p2, _) -> Some { Types.primary = p1; backup = Some p2 })

@@ -11,7 +11,7 @@
       separate-RWA-decisions strawman. *)
 
 val two_step :
-  ?workspace:Rr_util.Workspace.t ->
+  workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   Rr_wdm.Network.t ->
   source:int ->

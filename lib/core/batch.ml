@@ -74,10 +74,10 @@ let valid net req =
 
 let process ?(order = Fifo) ?obs net policy requests =
   let ordered = arrange net order requests in
-  (* One incremental auxiliary-graph engine for the whole sequential
-     sweep: each admission's sync recomputes only the links the previous
-     allocation touched. *)
-  let cache = Rr_wdm.Aux_cache.create net in
+  (* One admission context for the whole sequential sweep: each
+     admission's sync recomputes only the links the previous allocation
+     touched. *)
+  let ctx = Router.context net in
   let total = ref 0.0 in
   let outcomes =
     (* Request ids are batch positions: stage spans and journal events
@@ -87,8 +87,9 @@ let process ?(order = Fifo) ?obs net policy requests =
       (fun i req ->
         let solution =
           if valid net req then
-            Router.admit ~aux_cache:cache ?obs ~req:i net policy
-              ~source:req.Types.src ~target:req.Types.dst
+            Result.to_option
+              (Router.admit_result ?obs ~req:i ctx policy ~source:req.Types.src
+                 ~target:req.Types.dst)
           else None
         in
         (* Cost snapshot at the admission point: later admissions mutate
@@ -129,13 +130,12 @@ let process ?(order = Fifo) ?obs net policy requests =
 (* [req] is the request's batch position: phase-A spans carry it so a
    request's speculation is attributable even after the worker forks are
    merged (ids survive [Obs.merge]). *)
-let speculate_one ?(obs = Obs.null) ?req snapshot cache ws policy rq =
+let speculate_one ?(obs = Obs.null) ?req ctx policy rq =
   (match req with Some id -> Obs.set_request obs id | None -> ());
   let result =
-    if valid snapshot rq then
+    if valid (Router.network ctx) rq then
       Result.to_option
-        (Router.route ~aux_cache:cache ~workspace:ws ~obs snapshot policy
-           ~source:rq.Types.src ~target:rq.Types.dst)
+        (Router.route ~obs ctx policy ~source:rq.Types.src ~target:rq.Types.dst)
     else None
   in
   (match req with Some _ -> Obs.clear_request obs | None -> ());
@@ -144,40 +144,30 @@ let speculate_one ?(obs = Obs.null) ?req snapshot cache ws policy rq =
 (* ------------------------------------------------------------------ *)
 (* Pool-resident worker shards.
 
-   A shard is one worker's complete speculation state: a private network
-   snapshot, the incremental auxiliary-graph engine bound to it, and a
-   scratch workspace.  Building one costs a deep network copy plus a full
-   [Aux_cache.create] — orders of magnitude more than routing a single
-   request — so shards live in the pool's typed state slots and survive
+   A shard is one worker's complete speculation state: an admission
+   context on a private network snapshot.  Building one costs a deep
+   network copy plus a full [Aux_cache.create] — orders of magnitude more
+   than routing a single request — so shards live in the pool's typed state slots and survive
    across [route_parallel] calls.  Reacquiring a shard for the same live
    network only replays the residual-state delta (per-link bitset diff,
    then an [Aux_cache.sync] that recomputes the touched links); a shard
    bound to a different network is rebuilt from scratch. *)
 
 type shard = {
-  sh_snap : Net.t;                    (* worker-private snapshot *)
-  sh_cache : Rr_wdm.Aux_cache.t;      (* bound to [sh_snap] *)
-  sh_ws : Rr_util.Workspace.t;
-  sh_live : Net.t;                    (* the live network mirrored *)
+  ctx : Router.ctx;  (* on a worker-private snapshot *)
+  live : Net.t;      (* the live network mirrored *)
 }
 
 let shard_slot : shard Parallel.slot = Parallel.slot ()
 
-let fresh_shard live =
-  let snap = Net.copy live in
-  {
-    sh_snap = snap;
-    sh_cache = Rr_wdm.Aux_cache.create snap;
-    sh_ws = Rr_util.Workspace.create ();
-    sh_live = live;
-  }
+let fresh_shard live = { ctx = Router.context (Net.copy live); live }
 
 (* Replay the live network's residual state onto the snapshot link by
    link: releases for wavelengths freed since the last sync, allocations
    for ones consumed, failure flags last (a link failed on both sides can
    still have drifted usage — repair, patch, re-fail). *)
 let resync_shard sh =
-  let live = sh.sh_live and snap = sh.sh_snap in
+  let live = sh.live and snap = Router.network sh.ctx in
   for e = 0 to Net.n_links live - 1 do
     let live_failed = Net.is_failed live e in
     let ul = Net.used live e and us = Net.used snap e in
@@ -190,11 +180,11 @@ let resync_shard sh =
     end;
     if live_failed && not (Net.is_failed snap e) then Net.fail_link snap e
   done;
-  ignore (Rr_wdm.Aux_cache.sync sh.sh_cache : Rr_wdm.Aux_cache.sync_stats)
+  ignore (Rr_wdm.Aux_cache.sync (Router.cache sh.ctx) : Rr_wdm.Aux_cache.sync_stats)
 
 let shard_for pool live w =
   match Parallel.get_state pool shard_slot ~worker:w with
-  | Some sh when sh.sh_live == live ->
+  | Some sh when sh.live == live ->
     resync_shard sh;
     sh
   | _ ->
@@ -309,11 +299,10 @@ let apply ?pool ?(obs = Obs.null) net policy ordered speculative =
     invalid_arg "Batch.apply: request/speculation length mismatch";
   let sols : Types.solution option array = Array.make n None in
   let costs = Array.make n 0.0 in
-  let ws = Rr_util.Workspace.create () in
-  (* The live-network engine is only needed on the slow path (a
+  (* The live-network context is only needed on the slow path (a
      speculative solution invalidated by an earlier admission), so build
      it lazily: batches whose speculations all hold never pay for it. *)
-  let cache = lazy (Rr_wdm.Aux_cache.create net) in
+  let ctx = lazy (Router.context net) in
   let nw = Net.n_wavelengths net in
   let taken = Hashtbl.create 64 in
   let t_commit = Obs.start obs in
@@ -361,9 +350,9 @@ let apply ?pool ?(obs = Obs.null) net policy ordered speculative =
           Obs.add obs "batch.conflict.fallbacks" 1;
           Obs.event obs ~a:k "journal.batch.fallback";
           let re =
-            Router.admit ~aux_cache:(Lazy.force cache) ~workspace:ws ~obs
-              ~req:k net policy ~source:reqs.(k).Types.src
-              ~target:reqs.(k).Types.dst
+            Result.to_option
+              (Router.admit_result ~obs ~req:k (Lazy.force ctx) policy
+                 ~source:reqs.(k).Types.src ~target:reqs.(k).Types.dst)
           in
           (match re with
           | Some sol' -> costs.(k) <- Types.total_cost net sol'
@@ -395,13 +384,9 @@ let apply ?pool ?(obs = Obs.null) net policy ordered speculative =
 
 let route ?(order = Fifo) ?obs net policy requests =
   let ordered = arrange net order requests in
-  let snapshot = Net.copy net in
-  let cache = Rr_wdm.Aux_cache.create snapshot in
-  let ws = Rr_util.Workspace.create () in
+  let ctx = Router.context (Net.copy net) in
   let speculative =
-    List.mapi
-      (fun i req -> speculate_one ?obs ~req:i snapshot cache ws policy req)
-      ordered
+    List.mapi (fun i req -> speculate_one ?obs ~req:i ctx policy req) ordered
   in
   apply ?obs net policy ordered speculative
 
@@ -426,8 +411,7 @@ let route_parallel ?(order = Fifo) ?pool ?jobs ?(obs = Obs.null) net policy
       Parallel.map p
         ~worker:(fun i -> (shard_for p net i, forks.(i)))
         ~f:(fun (sh, fork) (i, req) ->
-          speculate_one ~obs:fork ~req:i sh.sh_snap sh.sh_cache sh.sh_ws policy
-            req)
+          speculate_one ~obs:fork ~req:i sh.ctx policy req)
         reqs
     in
     if Obs.enabled obs then Array.iter (fun f -> Obs.merge ~into:obs f) forks;

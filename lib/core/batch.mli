@@ -95,8 +95,8 @@ val route_parallel :
     a pool of [jobs] (default {!Parallel.default_jobs}, clamped as
     {!Parallel.create} documents) is created for the call.
 
-    {b Shard reuse.}  Each worker's speculation state — private network
-    snapshot, incremental {!Rr_wdm.Aux_cache} engine, workspace — lives
+    {b Shard reuse.}  Each worker's speculation state — a
+    {!Router.ctx} on a private network snapshot — lives
     in the pool's typed state slots and survives across calls.  Passing
     the same [pool] and the same live network again only replays the
     residual-state delta onto each shard (per-link bitset diff plus an

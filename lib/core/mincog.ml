@@ -1,6 +1,7 @@
 module Aux = Rr_wdm.Auxiliary
 module Net = Rr_wdm.Network
 module Obs = Rr_obs.Obs
+module Cache = Rr_wdm.Aux_cache
 
 type result = {
   theta : float;
@@ -21,26 +22,28 @@ let theta_bounds net =
   done;
   if Float.equal !lo infinity then (1.0, 1.0) else (!lo, !hi)
 
-(* Try one threshold: build (or view) G_c, Suurballe, refine both paths.
-   With a cache the caller has already synced it for this request; each
-   threshold probe only swaps the filter predicate. *)
-let attempt ?aux_cache ?workspace ?(obs = Obs.null) net ~theta ~base ~source
-    ~target =
-  let aux, enabled =
-    match aux_cache with
-    | Some cache ->
-      let aux, enabled =
-        Rr_wdm.Aux_cache.gc_view cache ~theta ~base ~source ~target ()
-      in
-      (aux, Some enabled)
-    | None ->
-      let t0 = Obs.start obs in
-      let aux = Aux.gc net ~theta ~base ~source ~target () in
-      Obs.stop obs "stage.aux_graph" t0;
-      (aux, None)
-  in
+(* Thresholds in increasing order: ϑ_min, then geometrically growing
+   increments, ϑ_max last.  A threshold of exactly (U+1)/N admits links
+   of load U/N since inclusion is strict (U/N < ϑ). *)
+let resolution = 10
+
+let thresholds net =
+  let theta_min, theta_max = theta_bounds net in
+  let delta = theta_max -. theta_min in
+  if delta <= 0.0 then [ theta_max ]
+  else
+    theta_min
+    :: List.init resolution (fun i ->
+           theta_min +. (delta /. Float.pow 2.0 (float_of_int (resolution - 1 - i))))
+
+(* Try one threshold on the G_c view: Suurballe, refine both paths.  The
+   caller has already synced the cache for this request; each threshold
+   probe only swaps the filter predicate. *)
+let attempt ~workspace ~obs cache ~theta ~base ~source ~target =
+  let net = Cache.network cache in
+  let aux, enabled = Cache.gc_view cache ~theta ~base ~source ~target () in
   let t0 = Obs.start obs in
-  let pair = Aux.disjoint_pair ~obs ?workspace ?enabled aux in
+  let pair = Aux.disjoint_pair ~obs ~workspace ~enabled aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
   | None -> None
@@ -48,8 +51,8 @@ let attempt ?aux_cache ?workspace ?(obs = Obs.null) net ~theta ~base ~source
     let links1 = Aux.links_of_path aux p1 in
     let links2 = Aux.links_of_path aux p2 in
     (match
-       ( Approx_cost.refine net ?workspace ~obs ~source ~target links1,
-         Approx_cost.refine net ?workspace ~obs ~source ~target links2 )
+       ( Approx_cost.refine ~workspace ~obs net ~source ~target links1,
+         Approx_cost.refine ~workspace ~obs net ~source ~target links2 )
      with
      | Some (sl1, c1), Some (sl2, c2) ->
        let primary, backup = if c1 <= c2 then (sl1, sl2) else (sl2, sl1) in
@@ -61,42 +64,20 @@ let attempt ?aux_cache ?workspace ?(obs = Obs.null) net ~theta ~base ~source
        Some { theta; bottleneck; solution = { Types.primary; backup = Some backup } }
      | _ -> None)
 
-let route ?aux_cache ?(base = 16.0) ?(resolution = 10) ?workspace
-    ?(obs = Obs.null) net ~source ~target =
-  (match aux_cache with
-   | Some cache ->
-     if Rr_wdm.Aux_cache.network cache != net then
-       invalid_arg "Mincog: aux_cache bound to a different network";
-     ignore (Rr_wdm.Aux_cache.sync ~obs cache : Rr_wdm.Aux_cache.sync_stats)
-   | None -> ());
-  let theta_min, theta_max = theta_bounds net in
-  let delta = theta_max -. theta_min in
-  (* Thresholds in increasing order: ϑ_min, then geometrically growing
-     increments, ϑ_max last.  A threshold of exactly (U+1)/N admits links
-     of load U/N since inclusion is strict (U/N < ϑ). *)
-  let candidates =
-    if delta <= 0.0 then [ theta_max ]
-    else
-      (theta_min
-       :: List.init resolution (fun i ->
-              theta_min +. (delta /. Float.pow 2.0 (float_of_int (resolution - 1 - i)))))
-  in
+let route ?(base = 16.0) ~workspace ?(obs = Obs.null) cache ~source ~target =
+  ignore (Cache.sync ~obs cache : Cache.sync_stats);
   let rec try_all = function
     | [] -> Error Types.No_disjoint_pair
     | theta :: rest -> (
-      match attempt ?aux_cache ?workspace ~obs net ~theta ~base ~source ~target with
+      match attempt ~workspace ~obs cache ~theta ~base ~source ~target with
       | Some r -> Ok r
       | None -> try_all rest)
   in
-  try_all candidates
+  try_all (thresholds (Cache.network cache))
 
-let min_bottleneck ?aux_cache ?workspace net ~source ~target =
-  (match aux_cache with
-   | Some cache ->
-     if Rr_wdm.Aux_cache.network cache != net then
-       invalid_arg "Mincog: aux_cache bound to a different network";
-     ignore (Rr_wdm.Aux_cache.sync cache : Rr_wdm.Aux_cache.sync_stats)
-   | None -> ());
+let min_bottleneck ~workspace cache ~source ~target =
+  ignore (Cache.sync cache : Cache.sync_stats);
+  let net = Cache.network cache in
   (* Distinct realised load levels, ascending; feasibility (existence of an
      edge-disjoint pair among links of load <= level) is monotone, so the
      smallest feasible level is found by linear scan with early exit (the
@@ -111,8 +92,8 @@ let min_bottleneck ?aux_cache ?workspace net ~source ~target =
   in
   let attempt_level level =
     (* ϑ strictly above [level] but below the next level. *)
-    attempt ?aux_cache ?workspace net ~theta:(level +. 1e-9) ~base:16.0 ~source
-      ~target
+    attempt ~workspace ~obs:Obs.null cache ~theta:(level +. 1e-9) ~base:16.0
+      ~source ~target
   in
   let rec go = function
     | [] -> None

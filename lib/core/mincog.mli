@@ -6,7 +6,7 @@
     published pseudo-code's index arithmetic is internally inconsistent
     (decrementing [j] grows [Δ/2ʲ] without bound); we implement the search
     it evidently intends — geometrically growing increments above [ϑ_min]:
-    try [ϑ_min], then [ϑ_min + Δ/2ᵏ] for [k = K, K−1, …, 0] and accept the
+    try [ϑ_min], then [ϑ_min + Δ/2ᵏ] for [k = K−1, …, 0] and accept the
     first feasible threshold — which is what yields Theorem 3's factor-3
     guarantee.  {!min_bottleneck} computes the true optimum (smallest
     achievable maximum link load over the chosen pair) by binary search on
@@ -20,26 +20,27 @@ type result = {
 }
 
 val route :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
   ?base:float ->
-  ?resolution:int ->
-  ?workspace:Rr_util.Workspace.t ->
+  workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
-  Rr_wdm.Network.t ->
+  Rr_wdm.Aux_cache.t ->
   source:int ->
   target:int ->
   (result, Types.blocked) Stdlib.result
-(** The paper's algorithm with the exponential congestion weights
-    [a^((U+1)/N) − a^(U/N)] ([base] = a, default 16; [resolution] = K,
-    default 10).  [Error No_disjoint_pair] when even [ϑ_max] admits no
-    refinable pair.  [aux_cache]
-    syncs once per call and serves every threshold probe from the shared
-    superset graph (byte-identical results). *)
+(** The paper's algorithm on the cache's network, with the exponential
+    congestion weights [a^((U+1)/N) − a^(U/N)] ([base] = a, default 16).
+    Syncs the cache once, then serves every threshold of {!thresholds},
+    in order, from its [G_c] view.  [Error No_disjoint_pair] when even
+    [ϑ_max] admits no refinable pair. *)
+
+val thresholds : Rr_wdm.Network.t -> float list
+(** The thresholds {!route} tries, in order: [ϑ_min], then
+    [ϑ_min + Δ/2ᵏ] for [k = 9, 8, …, 0] (K = 10); just [ϑ_max] when
+    every residual link has the same load ratio. *)
 
 val min_bottleneck :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
-  Rr_wdm.Network.t ->
+  workspace:Rr_util.Workspace.t ->
+  Rr_wdm.Aux_cache.t ->
   source:int ->
   target:int ->
   (float * Types.solution) option

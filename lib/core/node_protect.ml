@@ -3,12 +3,12 @@ module Net = Rr_wdm.Network
 module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
 
-let route ?workspace ?(obs = Obs.null) net ~source ~target =
+let route ~workspace ?(obs = Obs.null) net ~source ~target =
   let t0 = Obs.start obs in
   let aux = Aux.gprime_gated net ~source ~target in
   Obs.stop obs "stage.aux_graph" t0;
   let t0 = Obs.start obs in
-  let pair = Aux.disjoint_pair ~obs ?workspace aux in
+  let pair = Aux.disjoint_pair ~obs ~workspace aux in
   Obs.stop obs "stage.disjoint_pair" t0;
   match pair with
   | None -> Error Types.No_disjoint_pair
@@ -16,8 +16,8 @@ let route ?workspace ?(obs = Obs.null) net ~source ~target =
     let links1 = Aux.links_of_path aux p1 in
     let links2 = Aux.links_of_path aux p2 in
     let t0 = Obs.start obs in
-    let r1 = Approx_cost.refine net ?workspace ~obs ~source ~target links1
-    and r2 = Approx_cost.refine net ?workspace ~obs ~source ~target links2 in
+    let r1 = Approx_cost.refine ~workspace ~obs net ~source ~target links1
+    and r2 = Approx_cost.refine ~workspace ~obs net ~source ~target links2 in
     Obs.stop obs "stage.refine" t0;
     (match (r1, r2) with
      | Some (sl1, c1), Some (sl2, c2) ->

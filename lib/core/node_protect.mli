@@ -5,10 +5,14 @@
     outage).  This variant finds two semilightpaths that are internally
     node-disjoint, via the gated auxiliary graph
     ({!Rr_wdm.Auxiliary.gprime_gated}) and the same
-    Suurballe-plus-refinement pipeline as Section 3.3. *)
+    Suurballe-plus-refinement pipeline as Section 3.3.
+
+    It is the one policy that still builds its auxiliary graph from
+    scratch per request ([stage.aux_graph]): {!Rr_wdm.Aux_cache} has no
+    gated view, and no workload routes node protection. *)
 
 val route :
-  ?workspace:Rr_util.Workspace.t ->
+  workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   Rr_wdm.Network.t ->
   source:int ->

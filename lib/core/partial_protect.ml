@@ -63,15 +63,14 @@ let splice primary seg =
   let after = List.filteri (fun i _ -> i > seg.seg_hi) primary.Slp.hops in
   { Slp.hops = before @ seg.seg_detour.Slp.hops @ after }
 
-let admit ?aux_cache ?workspace ?(obs = Obs.null) ~exposure net ~source ~target =
+let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
+  let net = Router.network ctx and workspace = Router.workspace ctx in
   let request = { Types.src = source; dst = target } in
   (* The full edge-disjoint candidate is computed up front, on the same
      residual state the fallback path restores to — so falling back never
      needs a second Suurballe pass. *)
   let full =
-    Result.to_option
-      (Router.route ?aux_cache ?workspace ~obs net Router.Cost_approx ~source
-         ~target)
+    Result.to_option (Router.route ~obs ctx Router.Cost_approx ~source ~target)
   in
   let full_backup_hops =
     match full with
@@ -93,7 +92,7 @@ let admit ?aux_cache ?workspace ?(obs = Obs.null) ~exposure net ~source ~target 
     | Some _ | None -> None
   in
   let segmented =
-    match Rr_wdm.Layered.optimal ?workspace ~obs net ~source ~target with
+    match Rr_wdm.Layered.optimal ~workspace ~obs net ~source ~target with
     | Some (primary, _) when Slp.link_simple primary -> (
       match exposed_runs exposure primary.Slp.hops with
       | [] ->
@@ -123,7 +122,7 @@ let admit ?aux_cache ?workspace ?(obs = Obs.null) ~exposure net ~source ~target 
             if s = t then Error acc
             else
               match
-                Rr_wdm.Layered.optimal ?workspace ~obs ~link_enabled net
+                Rr_wdm.Layered.optimal ~workspace ~obs ~link_enabled net
                   ~source:s ~target:t
               with
               | Some (d, _) when Slp.link_simple d -> (

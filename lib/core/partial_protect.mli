@@ -50,15 +50,14 @@ val exposure_of_rates : float array -> exposure
     is positive). *)
 
 val admit :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   exposure:exposure ->
-  Rr_wdm.Network.t ->
+  Router.ctx ->
   source:int ->
   target:int ->
   (Rr_wdm.Semilightpath.t * protection) option
-(** Route and allocate a primary plus its partial protection.  Chooses
+(** Route and allocate a primary plus its partial protection on the
+    context's network.  Chooses
     [Segments] when every exposed run got a valid detour and the total
     detour length beats the full backup strictly; otherwise allocates the
     full edge-disjoint pair; [None] when neither is feasible (the

@@ -52,6 +52,8 @@ let local_search ?order ?(policy = Router.Cost_approx)
     ?(objective = Min_total_cost) ?(max_rounds = 20) net0 requests =
   let net = Net.copy net0 in
   let placements = Array.of_list (sequential_on net ?order ~policy requests) in
+  (* One admission context for every re-insertion of the search. *)
+  let ctx = Router.context net in
   (* Single-demand re-insertion cannot improve the cost objective (each
      demand already got the cheapest route available at a less loaded
      moment), so the moves are pairwise ruin-and-recreate: tear two
@@ -81,7 +83,7 @@ let local_search ?order ?(policy = Router.Cost_approx)
   in
   let route_one i =
     let req = placements.(i).request in
-    match Router.route net reroute_policy ~source:req.Types.src ~target:req.Types.dst with
+    match Router.route ctx reroute_policy ~source:req.Types.src ~target:req.Types.dst with
     | Ok s when Result.is_ok (Types.validate net req s) -> Some s
     | _ -> None
   in

@@ -37,6 +37,8 @@ let bottleneck_pressure net conns =
 
 let reduce_load ?(max_moves = 50) net conns0 =
   let initial_load = Net.network_load net in
+  (* One admission context for every re-route of the call. *)
+  let ctx = Router.context net in
   let conns = Hashtbl.create 64 in
   List.iter (fun (id, sol) -> Hashtbl.replace conns id sol) conns0;
   let moves = ref [] in
@@ -73,7 +75,7 @@ let reduce_load ?(max_moves = 50) net conns0 =
          links excluded when possible). *)
       let reroute ~protected_ ~source ~target =
         if protected_ then
-          Result.to_option (Router.route net Router.Load_cost ~source ~target)
+          Result.to_option (Router.route ctx Router.Load_cost ~source ~target)
         else begin
           let rho' = Net.network_load net in
           let cooler e = Net.link_load net e < rho' -. 1e-12 in

@@ -14,12 +14,12 @@ let path_intact net p =
    semilightpath avoiding every link of the working path.  The layered
    search minimises over walks, so link-repeating candidates are screened
    out (see [Semilightpath.link_simple]). *)
-let reprovision_backup ?workspace ~obs net primary =
+let reprovision_backup ~workspace ~obs net primary =
   let primary_links = Hashtbl.create 8 in
   List.iter (fun e -> Hashtbl.replace primary_links e ()) (Slp.links primary);
   let link_enabled e = not (Hashtbl.mem primary_links e) in
   match
-    Rr_wdm.Layered.optimal ?workspace net ~link_enabled ~obs
+    Rr_wdm.Layered.optimal ~workspace net ~link_enabled ~obs
       ~source:(Slp.source net primary) ~target:(Slp.target net primary)
   with
   | Some (b, _) when Slp.link_simple b ->
@@ -27,14 +27,17 @@ let reprovision_backup ?workspace ~obs net primary =
     Some b
   | Some _ | None -> None
 
-let restore ?aux_cache ?workspace ?(obs = Obs.null) ?req ?(reprovision = false)
-    net policy ~request ~primary ~protection =
+let restore ?(obs = Obs.null) ?req ?(reprovision = false) ctx policy ~request
+    ~primary ~protection =
+  let net = Router.network ctx in
   Obs.add obs "restore.attempt" 1;
   let { Types.src; dst } = request in
   let switched working =
     let protection =
       if reprovision then begin
-        match reprovision_backup ?workspace ~obs net working with
+        match
+          reprovision_backup ~workspace:(Router.workspace ctx) ~obs net working
+        with
         | Some fresh ->
           Obs.add obs "restore.reprovision" 1;
           Obs.event obs ~a:src ~b:dst "journal.restore.reprovision";
@@ -49,11 +52,8 @@ let restore ?aux_cache ?workspace ?(obs = Obs.null) ?req ?(reprovision = false)
     Switched (working, protection)
   in
   let reroute () =
-    match
-      Router.admit ?aux_cache ?workspace ~obs ?req net policy ~source:src
-        ~target:dst
-    with
-    | Some fresh ->
+    match Router.admit_result ~obs ?req ctx policy ~source:src ~target:dst with
+    | Ok fresh ->
       Obs.add obs "restore.ok" 1;
       Obs.add obs "restore.reroute" 1;
       Obs.event obs ~a:src ~b:dst "journal.restore.reroute";
@@ -63,7 +63,7 @@ let restore ?aux_cache ?workspace ?(obs = Obs.null) ?req ?(reprovision = false)
         | None -> Partial_protect.Unprotected
       in
       Rerouted (fresh.Types.primary, protection)
-    | None ->
+    | Error _ ->
       Obs.add obs "restore.dropped" 1;
       Obs.event obs ~a:src ~b:dst "journal.restore.drop";
       Dropped

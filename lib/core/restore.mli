@@ -9,8 +9,8 @@
       connections,
     - switches to the reserved full backup when it survived,
     - re-routes from scratch on the residual network otherwise (through
-      [Router.admit], so an {!Rr_wdm.Aux_cache} makes the re-route
-      incremental),
+      {!Router.admit_result} on the caller's context, so the re-route
+      syncs its cache incrementally),
 
     and drops the connection only when the residual network has no path
     left.
@@ -40,22 +40,20 @@ type outcome =
           state was returned and the connection is gone. *)
 
 val restore :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   ?req:int ->
   ?reprovision:bool ->
-  Rr_wdm.Network.t ->
+  Router.ctx ->
   Router.policy ->
   request:Types.request ->
   primary:Rr_wdm.Semilightpath.t ->
   protection:Partial_protect.protection ->
   outcome
-(** [restore net policy ~request ~primary ~protection] restores a
-    connection after a failure hit its working path.  Precondition: every
-    wavelength of [primary] and of the protection's paths is still
-    allocated on [net] (failed links keep their allocations; release
-    happens here).  [reprovision] (default [false]) asks for a fresh full
+(** [restore ctx policy ~request ~primary ~protection] restores a
+    connection after a failure hit its working path, on the context's
+    network.  Precondition: every wavelength of [primary] and of the
+    protection's paths is still allocated on that network (failed links
+    keep their allocations; release happens here).  [reprovision] (default [false]) asks for a fresh full
     backup — edge-disjoint from the new working path — after a successful
     switch.  [policy] and [req] are used by the re-route path exactly as
-    in [Router.admit]. *)
+    in {!Router.admit_result}. *)

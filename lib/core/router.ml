@@ -32,32 +32,40 @@ let policy_of_string s =
   List.find_opt (fun p -> String.equal (policy_name p) s) all_policies
 
 module Obs = Rr_obs.Obs
+module Cache = Rr_wdm.Aux_cache
+module Workspace = Rr_util.Workspace
 
-let route ?aux_cache ?workspace ?(obs = Obs.null) net policy ~source ~target =
+type ctx = { cache : Cache.t; workspace : Workspace.t }
+
+let context net = { cache = Cache.create net; workspace = Workspace.create () }
+let network ctx = Cache.network ctx.cache
+let cache ctx = ctx.cache
+let workspace ctx = ctx.workspace
+
+let route ?(obs = Obs.null) { cache; workspace } policy ~source ~target =
+  let net = Cache.network cache in
   (* The baselines and the exact solver block as one opaque step. *)
   let opaque = function Some sol -> Ok sol | None -> Error Types.No_route in
   let result =
     match policy with
-    | Cost_approx ->
-      Approx_cost.route ?aux_cache ?workspace ~obs net ~source ~target
+    | Cost_approx -> Approx_cost.route ~workspace ~obs cache ~source ~target
     | Load_aware ->
       Result.map
         (fun r -> r.Mincog.solution)
-        (Mincog.route ?aux_cache ?workspace ~obs net ~source ~target)
+        (Mincog.route ~workspace ~obs cache ~source ~target)
     | Load_cost ->
       Result.map
         (fun r -> r.Approx_load_cost.solution)
-        (Approx_load_cost.route ?aux_cache ?workspace ~obs net ~source ~target)
-    | Two_step -> opaque (Baselines.two_step ?workspace ~obs net ~source ~target)
-    | First_fit -> opaque (Baselines.first_fit ?workspace ~obs net ~source ~target)
-    | Most_used -> opaque (Baselines.most_used_fit ?workspace ~obs net ~source ~target)
+        (Approx_load_cost.route ~workspace ~obs cache ~source ~target)
+    | Two_step -> opaque (Baselines.two_step ~workspace ~obs net ~source ~target)
+    | First_fit -> opaque (Baselines.first_fit ~workspace ~obs net ~source ~target)
+    | Most_used -> opaque (Baselines.most_used_fit ~workspace ~obs net ~source ~target)
     | Least_used ->
-      opaque (Baselines.least_used_fit ?workspace ~obs net ~source ~target)
-    | Unprotected -> opaque (Baselines.unprotected ?workspace ~obs net ~source ~target)
-    | Node_protect -> Node_protect.route ?workspace ~obs net ~source ~target
+      opaque (Baselines.least_used_fit ~workspace ~obs net ~source ~target)
+    | Unprotected -> opaque (Baselines.unprotected ~workspace ~obs net ~source ~target)
+    | Node_protect -> Node_protect.route ~workspace ~obs net ~source ~target
     | Exact ->
       (* The exact enumerative solver has no Dijkstra-shaped scratch state. *)
-      ignore workspace;
       opaque (Option.map fst (Exact.route net ~source ~target))
   in
   (match result with
@@ -75,12 +83,12 @@ let route ?aux_cache ?workspace ?(obs = Obs.null) net policy ~source ~target =
        1);
   result
 
-let admit_result ?aux_cache ?workspace ?(obs = Obs.null) ?req net policy
-    ~source ~target =
+let admit_result ?(obs = Obs.null) ?req ctx policy ~source ~target =
+  let net = network ctx in
   (match req with Some id -> Obs.set_request obs id | None -> ());
   let t_admit = Obs.start obs in
   let result =
-    match route ?aux_cache ?workspace ~obs net policy ~source ~target with
+    match route ~obs ctx policy ~source ~target with
     | Error _ as blocked -> blocked
     | Ok sol -> (
       let t0 = Obs.start obs in
@@ -113,9 +121,12 @@ let admit_result ?aux_cache ?workspace ?(obs = Obs.null) ?req net policy
   (match req with Some _ -> Obs.clear_request obs | None -> ());
   result
 
-let admit ?aux_cache ?workspace ?obs ?req net policy ~source ~target =
+let admit ~aux_cache ~workspace ?obs ?req net policy ~source ~target =
+  if Cache.network aux_cache != net then
+    invalid_arg "Router.admit: aux_cache bound to a different network";
   Result.to_option
-    (admit_result ?aux_cache ?workspace ?obs ?req net policy ~source ~target)
+    (admit_result ?obs ?req { cache = aux_cache; workspace } policy ~source
+       ~target)
 
 (* The (link, wavelength) hops a solution would allocate, primary first
    then backup, in hop order.  Within one solution every physical link

@@ -17,36 +17,52 @@ val all_policies : policy list
 val policy_name : policy -> string
 val policy_of_string : string -> policy option
 
+(** {1 Admission context} *)
+
+type ctx
+(** Everything one admission stream reuses across requests: the
+    incremental auxiliary-graph engine ({!Rr_wdm.Aux_cache}) bound to one
+    network, and one search {!Rr_util.Workspace}.  The cost and load
+    policies route on the cache's views; every search of every policy
+    draws its scratch arrays from the workspace.  A context serves one
+    domain at a time.  Routing through a long-lived context is
+    byte-identical to routing through a fresh one per request. *)
+
+val context : Rr_wdm.Network.t -> ctx
+(** Build the cache (one {!Rr_wdm.Aux_cache.create}) and an empty
+    workspace for [net].  The context stays bound to [net]: routing reads
+    its live residual state, and each cost or load admission syncs the
+    cache against whatever changed since the previous call. *)
+
+val network : ctx -> Rr_wdm.Network.t
+val cache : ctx -> Rr_wdm.Aux_cache.t
+val workspace : ctx -> Rr_util.Workspace.t
+
+(** {1 Routing and admission} *)
+
 val route :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
-  Rr_wdm.Network.t ->
+  ctx ->
   policy ->
   source:int ->
   target:int ->
   (Types.solution, Types.blocked) result
-(** Compute a robust route on the residual network; no allocation.  A
-    refusal says why: the pipeline policies return their own cause, the
-    baselines and [Exact] block as [No_route].
-    [workspace] supplies reusable scratch arrays to every search the policy
-    runs (ignored by [Exact]); see {!Rr_util.Workspace}.  [aux_cache] is an
-    incremental auxiliary-graph engine bound to [net] (see
-    {!Rr_wdm.Aux_cache}): the auxiliary-graph-based policies ([Cost_approx],
-    [Load_aware], [Load_cost]) then sync it and route over its views —
-    byte-identical results, no per-request [G'] rebuild; other policies
-    ignore it.  [obs] is threaded through the policy pipeline, recording
-    per-stage spans ([stage.*]) and kernel spans and counters
-    ([kernel.*], [heap.*], [conv.expansions], [workspace.*]).  This is the
-    one place a blocking cause is counted: each [Error] adds 1 to its
-    {!Types.blocked_counter} ([route.block.*]). *)
+(** Compute a robust route on the context's residual network; no
+    allocation.  A refusal says why: the pipeline policies return their
+    own cause, the baselines and [Exact] block as [No_route].
+    [Cost_approx], [Load_aware] and [Load_cost] sync the context's cache
+    and route over its views; [Node_protect] builds the gated [G'] afresh
+    (see {!Node_protect}); [Exact] ignores the workspace.  [obs] is
+    threaded through the policy pipeline, recording per-stage spans
+    ([stage.*]) and kernel spans and counters ([kernel.*], [heap.*],
+    [conv.expansions], [workspace.*]).  This is the one place a blocking
+    cause is counted: each [Error] adds 1 to its {!Types.blocked_counter}
+    ([route.block.*]). *)
 
 val admit_result :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   ?req:int ->
-  Rr_wdm.Network.t ->
+  ctx ->
   policy ->
   source:int ->
   target:int ->
@@ -73,8 +89,8 @@ val admit_result :
     Without [req] the same probes fire with request id -1. *)
 
 val admit :
-  ?aux_cache:Rr_wdm.Aux_cache.t ->
-  ?workspace:Rr_util.Workspace.t ->
+  aux_cache:Rr_wdm.Aux_cache.t ->
+  workspace:Rr_util.Workspace.t ->
   ?obs:Rr_obs.Obs.t ->
   ?req:int ->
   Rr_wdm.Network.t ->
@@ -82,8 +98,12 @@ val admit :
   source:int ->
   target:int ->
   Types.solution option
-(** [Result.to_option (admit_result …)], for callers that only need the
-    solution. *)
+(** [Result.to_option (admit_result …)] on the context made of
+    [aux_cache] and [workspace].  This is the benchmark ledger's entry
+    point, kept in its call shape until the ledger holds a {!ctx}; it
+    goes when the ledger moves.  Every other caller uses {!admit_result}.
+    Raises [Invalid_argument] if [aux_cache] is not bound to [net] — the
+    one place a cache can meet the wrong network. *)
 
 val footprint : Types.solution -> (int * int) list
 (** The [(link, wavelength)] hops the solution would allocate — primary

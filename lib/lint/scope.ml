@@ -11,7 +11,7 @@ let hot_kernel file =
   List.mem file
     [ "lib/graph/dijkstra.ml"; "lib/graph/suurballe.ml"; "lib/wdm/layered.ml" ]
 
-let optional_labels = [ "obs"; "workspace"; "aux_cache" ]
+let optional_labels = [ "obs"; "workspace" ]
 
 let probe_functions =
   [ "Obs.stop"; "Obs.add"; "Obs.gauge"; "Obs.observe_ns"; "Obs.span"

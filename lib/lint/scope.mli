@@ -16,7 +16,9 @@ val determinism : string -> bool
 val hot_kernel : string -> bool
 
 val optional_labels : string list
-(** The threaded optionals R3 tracks: [obs], [workspace], [aux_cache]. *)
+(** The threaded optionals R3 tracks: [obs] and [workspace].  The
+    auxiliary-graph cache is not optional anywhere (the policies take it
+    as a required argument), so it has no ghost [None] to track. *)
 
 val probe_functions : string list
 (** Suffixes of resolved paths whose second positional argument is a

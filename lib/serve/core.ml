@@ -6,9 +6,7 @@ module Protect = Robust_routing.Partial_protect
 module Obs = Rr_obs.Obs
 
 type t = {
-  mutable net : Net.t;
-  mutable aux_cache : Rr_wdm.Aux_cache.t;
-  workspace : Rr_util.Workspace.t;
+  mutable ctx : Router.ctx;  (* the resident network, its cache and workspace *)
   obs : Obs.t;
   default_policy : Router.policy;
   conns : (int, Types.solution) Hashtbl.t;
@@ -20,9 +18,7 @@ type t = {
 
 let create ?(policy = Router.Cost_approx) ?(obs = Obs.null) net =
   {
-    net;
-    aux_cache = Rr_wdm.Aux_cache.create net;
-    workspace = Rr_util.Workspace.create ();
+    ctx = Router.context net;
     obs;
     default_policy = policy;
     conns = Hashtbl.create 64;
@@ -32,7 +28,7 @@ let create ?(policy = Router.Cost_approx) ?(obs = Obs.null) net =
     stopping = false;
   }
 
-let network t = t.net
+let network t = Router.network t.ctx
 let obs t = t.obs
 let stopping t = t.stopping
 let default_policy t = t.default_policy
@@ -55,7 +51,7 @@ let snapshot t =
       (fun (id, sol) -> (id, sol.Types.primary, sol.Types.backup))
       (connections t)
   in
-  Rr_wdm.Network_io.print_snapshot t.net ~conns
+  Rr_wdm.Network_io.print_snapshot (network t) ~conns
   ^ Printf.sprintf "%snext_id=%d admitted=%d blocked=%d\n" meta_prefix
       t.next_id t.admitted_total t.blocked_total
 
@@ -95,8 +91,7 @@ let load_snapshot t text =
   match Rr_wdm.Network_io.parse_snapshot text with
   | Error m -> Error m
   | Ok { Rr_wdm.Network_io.snap_net; snap_conns } ->
-    t.net <- snap_net;
-    t.aux_cache <- Rr_wdm.Aux_cache.create snap_net;
+    t.ctx <- Router.context snap_net;
     Hashtbl.reset t.conns;
     List.iter
       (fun (id, primary, backup) ->
@@ -131,17 +126,18 @@ let of_snapshot ?policy ?obs text =
 (* Request dispatch                                                     *)
 
 let stats t =
+  let net = network t in
   let failed = ref [] in
-  for e = Net.n_links t.net - 1 downto 0 do
-    if Net.is_failed t.net e then failed := e :: !failed
+  for e = Net.n_links net - 1 downto 0 do
+    if Net.is_failed net e then failed := e :: !failed
   done;
   {
-    Protocol.st_nodes = Net.n_nodes t.net;
-    st_links = Net.n_links t.net;
-    st_wavelengths = Net.n_wavelengths t.net;
+    Protocol.st_nodes = Net.n_nodes net;
+    st_links = Net.n_links net;
+    st_wavelengths = Net.n_wavelengths net;
     st_connections = Hashtbl.length t.conns;
-    st_in_use = Net.total_in_use t.net;
-    st_load = Net.network_load t.net;
+    st_in_use = Net.total_in_use net;
+    st_load = Net.network_load net;
     st_failed_links = !failed;
     st_admitted_total = t.admitted_total;
     st_blocked_total = t.blocked_total;
@@ -151,6 +147,7 @@ let stats t =
    whole list must be in range and in the expected failure state before
    any link is touched. *)
 let validate_burst t ~want_failed links =
+  let net = network t in
   let err kind fmt =
     Printf.ksprintf
       (fun msg ->
@@ -164,17 +161,18 @@ let validate_burst t ~want_failed links =
     let rec check = function
       | [] -> Result.Ok ()
       | e :: rest ->
-        if e < 0 || e >= Net.n_links t.net then
+        if e < 0 || e >= Net.n_links net then
           err Protocol.Bad_state "link %d out of range" e
-        else if (not want_failed) && Net.is_failed t.net e then
+        else if (not want_failed) && Net.is_failed net e then
           err Protocol.Bad_state "link %d already failed" e
-        else if want_failed && not (Net.is_failed t.net e) then
+        else if want_failed && not (Net.is_failed net e) then
           err Protocol.Bad_state "link %d is not failed" e
         else check rest
     in
     check links
 
 let handle t (req : Protocol.request) : Protocol.response =
+  let net = network t in
   let err kind fmt =
     Printf.ksprintf
       (fun msg ->
@@ -189,7 +187,7 @@ let handle t (req : Protocol.request) : Protocol.response =
     Protocol.Bye
   | Protocol.Query -> Protocol.Stats (stats t)
   | Protocol.Admit { src; dst; policy } ->
-    let n = Net.n_nodes t.net in
+    let n = Net.n_nodes net in
     if src < 0 || src >= n || dst < 0 || dst >= n then
       err Protocol.Bad_request "node out of range in %d -> %d (n = %d)" src dst n
     else if src = dst then err Protocol.Bad_request "source equals destination (%d)" src
@@ -198,13 +196,13 @@ let handle t (req : Protocol.request) : Protocol.response =
       let rid = t.next_id in
       t.next_id <- rid + 1;
       match
-        Router.admit_result ~aux_cache:t.aux_cache ~workspace:t.workspace
-          ~obs:t.obs ~req:rid t.net policy ~source:src ~target:dst
+        Router.admit_result ~obs:t.obs ~req:rid t.ctx policy ~source:src
+          ~target:dst
       with
       | Ok sol ->
         Hashtbl.replace t.conns rid sol;
         t.admitted_total <- t.admitted_total + 1;
-        Protocol.Admitted { id = rid; cost = Types.total_cost t.net sol }
+        Protocol.Admitted { id = rid; cost = Types.total_cost net sol }
       | Error b ->
         t.blocked_total <- t.blocked_total + 1;
         Protocol.Blocked { cause = Types.blocked_name b }
@@ -213,26 +211,26 @@ let handle t (req : Protocol.request) : Protocol.response =
     match Hashtbl.find_opt t.conns id with
     | None -> err Protocol.Unknown_id "no connection %d" id
     | Some sol ->
-      Types.release t.net sol;
+      Types.release net sol;
       Hashtbl.remove t.conns id;
       Protocol.Released { id })
   | Protocol.Fail_link { link } ->
-    if link < 0 || link >= Net.n_links t.net then
+    if link < 0 || link >= Net.n_links net then
       err Protocol.Bad_state "link %d out of range" link
-    else if Net.is_failed t.net link then
+    else if Net.is_failed net link then
       err Protocol.Bad_state "link %d already failed" link
     else begin
-      Net.fail_link t.net link;
+      Net.fail_link net link;
       Obs.event t.obs ~a:link "journal.link.fail";
       Protocol.Link_failed { link }
     end
   | Protocol.Repair_link { link } ->
-    if link < 0 || link >= Net.n_links t.net then
+    if link < 0 || link >= Net.n_links net then
       err Protocol.Bad_state "link %d out of range" link
-    else if not (Net.is_failed t.net link) then
+    else if not (Net.is_failed net link) then
       err Protocol.Bad_state "link %d is not failed" link
     else begin
-      Net.repair_link t.net link;
+      Net.repair_link net link;
       Obs.event t.obs ~a:link "journal.link.repair";
       Protocol.Link_repaired { link }
     end
@@ -246,7 +244,7 @@ let handle t (req : Protocol.request) : Protocol.response =
     | Ok () ->
       List.iter
         (fun link ->
-          Net.fail_link t.net link;
+          Net.fail_link net link;
           Obs.event t.obs ~a:link "journal.link.fail")
         links;
       (* Restoration order is part of the decision sequence (each
@@ -261,8 +259,8 @@ let handle t (req : Protocol.request) : Protocol.response =
               (Rr_wdm.Semilightpath.links sol.Types.primary)
           in
           if hit then begin
-            let src = Rr_wdm.Semilightpath.source t.net sol.Types.primary in
-            let dst = Rr_wdm.Semilightpath.target t.net sol.Types.primary in
+            let src = Rr_wdm.Semilightpath.source net sol.Types.primary in
+            let dst = Rr_wdm.Semilightpath.target net sol.Types.primary in
             let protection =
               match sol.Types.backup with
               | Some b -> Protect.Full b
@@ -271,8 +269,7 @@ let handle t (req : Protocol.request) : Protocol.response =
             let rid = t.next_id in
             t.next_id <- rid + 1;
             match
-              Restore.restore ~aux_cache:t.aux_cache ~workspace:t.workspace
-                ~obs:t.obs ~req:rid t.net t.default_policy
+              Restore.restore ~obs:t.obs ~req:rid t.ctx t.default_policy
                 ~request:{ Types.src; dst } ~primary:sol.Types.primary
                 ~protection
             with
@@ -310,7 +307,7 @@ let handle t (req : Protocol.request) : Protocol.response =
     | Ok () ->
       List.iter
         (fun link ->
-          Net.repair_link t.net link;
+          Net.repair_link net link;
           Obs.event t.obs ~a:link "journal.link.repair")
         links;
       Protocol.Burst_repaired { links })

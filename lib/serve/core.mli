@@ -3,12 +3,12 @@
     whole service semantics is unit-testable in-process (and fuzzed by
     rr_check case [serve]).
 
-    A core keeps the network, an {!Rr_wdm.Aux_cache} and a workspace pool
-    resident across requests, so the daemon serves admissions at the
-    incremental-engine price, not the cold-rebuild price.  Both caches
-    are result-invisible by the [Router.admit_result] contract (pinned by
-    the existing aux-cache and obs fuzz cases), which is what makes the
-    server-vs-library differential test meaningful.  An [admit] reply,
+    A core keeps one {!Robust_routing.Router.ctx} — the network, its
+    {!Rr_wdm.Aux_cache} and a workspace — resident across requests, so
+    the daemon serves admissions at the incremental-engine price.  A
+    long-lived context is result-invisible by the [Router.admit_result]
+    contract (pinned by the aux-cache and obs fuzz cases), which is what
+    makes the server-vs-library differential test meaningful.  An [admit] reply,
     blocking cause included, is derived from [Router.admit_result]'s
     value, so it does not depend on whether [obs] is enabled. *)
 

@@ -190,21 +190,19 @@ let run ?(obs = Obs.null) net0 config =
     done;
     dist
   in
-  (* One incremental auxiliary-graph engine for the whole run: arrivals,
-     reroutes and preemption probes all sync it against whatever the
-     event loop (departures, failures, repairs) did to the residual state
-     since the previous routing call.  Beside it, one search workspace
-     serves every routing call of the run, which runs on this domain
-     alone. *)
-  let aux_cache = Rr_wdm.Aux_cache.create net in
-  let workspace = Rr_util.Workspace.create () in
+  (* One admission context for the whole run: arrivals, reroutes and
+     preemption probes all sync its cache against whatever the event loop
+     (departures, failures, repairs) did to the residual state since the
+     previous routing call, and its one search workspace serves every
+     routing call of the run, which runs on this domain alone. *)
+  let ctx = Router.context net in
   let rng = Rng.create config.seed in
   let q = Event_queue.create () in
   let counters = Metrics.counters () in
   let load_trace = Metrics.trace () in
   let connections : (int, connection) Hashtbl.t = Hashtbl.create 256 in
   let next_id = ref 0 in
-  (* Request ids for request-scoped observability: every Router.admit in
+  (* Request ids for request-scoped observability: every admission in
      the run — arrivals, batched epochs, restoration re-routes — gets the
      next id, so a blocked admission's spans and journal events are
      attributable to one routing decision. *)
@@ -341,8 +339,8 @@ let run ?(obs = Obs.null) net0 config =
           end
           else if hit conn.active then begin
             match
-              Restore.restore ~aux_cache ~workspace ~obs ~req:(fresh_req ())
-                ~reprovision:config.reprovision_backup net config.policy
+              Restore.restore ~obs ~req:(fresh_req ())
+                ~reprovision:config.reprovision_backup ctx config.policy
                 ~request:{ Types.src = conn.src; dst = conn.dst }
                 ~primary:conn.active ~protection:conn.protection
             with
@@ -435,8 +433,7 @@ let run ?(obs = Obs.null) net0 config =
       | victim :: rest -> (
         Slp.release net victim.active;
         match
-          Router.route ~aux_cache ~workspace ~obs net (policy_for Premium) ~source:src
-            ~target:dst
+          Router.route ~obs ctx (policy_for Premium) ~source:src ~target:dst
         with
         | Ok sol -> Some (sol, victim :: evicted)
         | Error _ -> evict (victim :: evicted) rest)
@@ -451,8 +448,8 @@ let run ?(obs = Obs.null) net0 config =
       (fun victim ->
         incr preemptions;
         match
-          Router.route ~aux_cache ~workspace ~obs net Router.Unprotected
-            ~source:victim.src ~target:victim.dst
+          Router.route ~obs ctx Router.Unprotected ~source:victim.src
+            ~target:victim.dst
         with
         | Ok s
           when (match
@@ -491,7 +488,7 @@ let run ?(obs = Obs.null) net0 config =
     match partial_exposure with
     | Some exposure -> (
       match
-        Protect.admit ~aux_cache ~workspace ~obs net ~exposure ~source:src ~target:dst
+        Protect.admit ~obs ~exposure ctx ~source:src ~target:dst
       with
       | Some (primary, protection) ->
         Log.debug (fun m ->
@@ -506,16 +503,16 @@ let run ?(obs = Obs.null) net0 config =
         end)
     | None -> (
       match
-        Router.admit ~aux_cache ~workspace ~obs ~req:(fresh_req ()) net (policy_for klass)
+        Router.admit_result ~obs ~req:(fresh_req ()) ctx (policy_for klass)
           ~source:src ~target:dst
       with
-      | Some sol ->
+      | Ok sol ->
         Log.debug (fun m ->
             m "t=%.2f admit %s %d->%d cost %.1f" time (class_name klass) src dst
               (Types.total_cost net sol));
         register ~counted time klass src dst sol.Types.primary
           (protection_of_solution sol)
-      | None -> (
+      | Error _ -> (
         match klass with
         | Premium -> (
           match try_preempt src dst with

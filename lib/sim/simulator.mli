@@ -85,7 +85,7 @@ type config = {
           outright. *)
   partial_protection : Robust_routing.Partial_protect.exposure option;
       (** route protected classes through partial path protection against
-          this exposure instead of [Router.admit].  Best-effort traffic
+          this exposure instead of [Router.admit_result].  Best-effort traffic
           stays unprotected. *)
 }
 
@@ -136,8 +136,8 @@ type report = {
 
 val run : ?obs:Rr_obs.Obs.t -> Rr_wdm.Network.t -> config -> report
 (** Runs on a private copy of the network (the argument is not mutated).
-    One {!Rr_wdm.Aux_cache} and one {!Rr_util.Workspace} serve every
-    routing call of the run — admissions, partial protection,
+    One {!Robust_routing.Router.ctx} — its {!Rr_wdm.Aux_cache} and its
+    {!Rr_util.Workspace} — serves every routing call of the run — admissions, partial protection,
     restoration and preemption — so no search allocates its scratch
     state ([workspace.miss] stays 0).
 

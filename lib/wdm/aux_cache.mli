@@ -29,10 +29,19 @@
 
     {b Discipline.}  Call {!sync} after any [allocate]/[release]/
     [fail_link]/[repair_link] activity and before taking a view; the
-    [?aux_cache] entry points in [Robust_routing] do this once per
-    request.  Views share the cache's mutable arrays: use a view (and its
-    [enabled] predicate) before creating the next one, and do not keep it
-    across a later {!sync}. *)
+    cost and load policies in [Robust_routing] (which take the cache as a
+    required argument, inside a [Router.ctx]) do this once per request.
+    Views share the cache's mutable arrays: use a view (and its [enabled]
+    predicate) before creating the next one, and do not keep it across a
+    later {!sync}.
+
+    {b The one engine.}  Every admission routes on a cache; a fresh
+    {!Auxiliary.gprime}/{!Auxiliary.gc}/{!Auxiliary.grc} build is only
+    the oracle the views are checked against (and the paper's
+    construction the THM-1 bench times).  A one-shot caller pays one
+    {!create} plus one view: several times cheaper than one fresh
+    {!Auxiliary.gprime} under range-limited converters, up to 1.6x
+    dearer under [Full] ones. *)
 
 type t
 
@@ -52,9 +61,7 @@ val create : Network.t -> t
     {!mean_conversion}). *)
 
 val network : t -> Network.t
-(** The network the cache is bound to.  The [?aux_cache] entry points
-    reject (with [Invalid_argument]) a cache whose network is not
-    physically the one being routed on. *)
+(** The network the cache is bound to; the policies route on it. *)
 
 val sync : ?obs:Rr_obs.Obs.t -> t -> sync_stats
 (** Diff the per-link residual fingerprints (bitset pointer + semantic

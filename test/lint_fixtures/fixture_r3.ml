@@ -14,3 +14,12 @@ let justified ?obs x =
   ignore obs;
   (* lint: no-thread — deliberate in this fixture *)
   callee x
+
+(* Not a tracked label: a dropped [?aux_cache] is no R3 finding. *)
+let cached ?aux_cache x =
+  ignore aux_cache;
+  x
+
+let drops_cache ?aux_cache x =
+  ignore aux_cache;
+  cached x

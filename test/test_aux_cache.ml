@@ -57,12 +57,16 @@ let test_delta_exact () =
   let s0 = Cache.sync cache in
   checki "clean sync touches nothing" 0 s0.Cache.touched;
   checkb "clean sync is not a rebuild" false s0.Cache.full_rebuild;
-  (* Admit behind the cache's back; the next sync must discover exactly
-     the allocation's links and recompute exactly their incident arcs. *)
+  (* Admit behind the cache's back (through another context); the next
+     sync must discover exactly the allocation's links and recompute
+     exactly their incident arcs. *)
   let sol =
-    match Router.admit net Router.Cost_approx ~source:0 ~target:9 with
-    | Some s -> s
-    | None -> Alcotest.fail "admission refused on an idle NSFNET"
+    match
+      Router.admit_result (Router.context net) Router.Cost_approx ~source:0
+        ~target:9
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "admission refused on an idle NSFNET"
   in
   let links = solution_links sol in
   let k = List.length links in
@@ -85,9 +89,12 @@ let test_release_restores () =
   let view, en = Cache.gprime_view cache ~source:1 ~target:8 in
   let before = projection view en in
   let sol =
-    match Router.admit net Router.Load_cost ~source:2 ~target:11 with
-    | Some s -> s
-    | None -> Alcotest.fail "admission refused on an idle NSFNET"
+    match
+      Router.admit_result (Router.context net) Router.Load_cost ~source:2
+        ~target:11
+    with
+    | Ok s -> s
+    | Error _ -> Alcotest.fail "admission refused on an idle NSFNET"
   in
   ignore (Cache.sync cache : Cache.sync_stats);
   let view, en = Cache.gprime_view cache ~source:1 ~target:8 in
@@ -170,11 +177,11 @@ let test_wrong_network_rejected () =
   let net = nsfnet 16 in
   let other = Net.copy net in
   let cache = Cache.create other in
-  checkb "router rejects a cache bound to another network" true
+  checkb "the admit shim rejects a cache bound to another network" true
     (try
        ignore
-         (Router.route ~aux_cache:cache net Router.Cost_approx ~source:0
-            ~target:5);
+         (Router.admit ~aux_cache:cache ~workspace:(Rr_util.Workspace.create ())
+            net Router.Cost_approx ~source:0 ~target:5);
        false
      with Invalid_argument _ -> true)
 

@@ -12,6 +12,32 @@ let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let qtest = QCheck_alcotest.to_alcotest
 
+(* One-shot policy calls, each on a fresh admission context. *)
+let ctx = RR.Router.context
+
+let approx net ~source ~target =
+  RR.Router.route (ctx net) RR.Router.Cost_approx ~source ~target
+
+let detailed net ~source ~target =
+  let c = ctx net in
+  RR.Approx_cost.route_detailed ~workspace:(RR.Router.workspace c)
+    (RR.Router.cache c) ~source ~target
+
+let mincog net ~source ~target =
+  let c = ctx net in
+  RR.Mincog.route ~workspace:(RR.Router.workspace c) (RR.Router.cache c)
+    ~source ~target
+
+let min_bottleneck net ~source ~target =
+  let c = ctx net in
+  RR.Mincog.min_bottleneck ~workspace:(RR.Router.workspace c)
+    (RR.Router.cache c) ~source ~target
+
+let load_cost net ~source ~target =
+  let c = ctx net in
+  RR.Approx_load_cost.route ~workspace:(RR.Router.workspace c)
+    (RR.Router.cache c) ~source ~target
+
 let link ?(lambdas = [ 0; 1 ]) ?(weight = fun _ -> 1.0) u v =
   { Net.ls_src = u; ls_dst = v; ls_lambdas = lambdas; ls_weight = weight }
 
@@ -82,7 +108,7 @@ let test_types_allocate_atomic () =
 
 let test_approx_trap () =
   let net = trap_net () in
-  match RR.Approx_cost.route net ~source:0 ~target:3 with
+  match approx net ~source:0 ~target:3 with
   | Error _ -> Alcotest.fail "approx must find the disjoint pair"
   | Ok sol ->
     checkb "valid" true (Types.validate net { src = 0; dst = 3 } sol = Ok ());
@@ -95,13 +121,13 @@ let test_approx_none_on_bridge () =
       ~converters:(fun _ -> Conv.Full 0.0)
   in
   checkb "no pair on a path graph" true
-    (RR.Approx_cost.route net ~source:0 ~target:2 = Error Types.No_disjoint_pair)
+    (approx net ~source:0 ~target:2 = Error Types.No_disjoint_pair)
 
 let test_approx_lemma2_refinement () =
   (* Lemma 2: refined cost <= auxiliary pair weight (full conversion). *)
   for seed = 1 to 20 do
     let net = random_net seed in
-    match RR.Approx_cost.route_detailed net ~source:0 ~target:(Net.n_nodes net - 1) with
+    match detailed net ~source:0 ~target:(Net.n_nodes net - 1) with
     | Error _ -> ()
     | Ok d ->
       checkb
@@ -117,7 +143,7 @@ let prop_approx_solutions_valid =
       let net = random_net (seed + 31) in
       preload rng net 0.2;
       let target = Net.n_nodes net - 1 in
-      match RR.Approx_cost.route net ~source:0 ~target with
+      match approx net ~source:0 ~target with
       | Error _ -> true
       | Ok sol -> Types.validate net { src = 0; dst = target } sol = Ok ())
 
@@ -129,7 +155,7 @@ let prop_theorem2_ratio =
       let target = Net.n_nodes net - 1 in
       match
         ( RR.Exact.route net ~source:0 ~target,
-          RR.Approx_cost.route_detailed net ~source:0 ~target )
+          detailed net ~source:0 ~target )
       with
       | Some (_, opt), Ok d ->
         opt > 0.0 && d.refined_cost <= (2.0 *. opt) +. 1e-6
@@ -151,7 +177,7 @@ let prop_approx_agrees_on_feasibility =
           ~enabled:(fun e -> Net.has_available net e)
           g ~source:0 ~target
       in
-      let approx = RR.Approx_cost.route net ~source:0 ~target in
+      let approx = approx net ~source:0 ~target in
       if count < 2 then Result.is_error approx else true)
 
 (* ------------------------------------------------------------------ *)
@@ -178,7 +204,7 @@ let test_exact_beats_or_ties_everyone () =
     | Some (_, opt) ->
       List.iter
         (fun policy ->
-          match RR.Router.route net policy ~source:0 ~target with
+          match RR.Router.route (ctx net) policy ~source:0 ~target with
           | Error _ -> ()
           | Ok sol ->
             let c = Types.total_cost net sol in
@@ -217,13 +243,13 @@ let test_mincog_prefers_light_links () =
   let net = trap_net () in
   (* load the spine link e1 heavily *)
   Net.allocate net 1 0;
-  (match RR.Mincog.route net ~source:0 ~target:3 with
+  (match mincog net ~source:0 ~target:3 with
    | Error _ -> Alcotest.fail "pair expected"
    | Ok r ->
      (* Optimal pair avoiding e1 entirely: {e0,e4} and {e3,e2} with
         bottleneck 0. *)
      check Alcotest.(float 1e-9) "bottleneck avoids loaded link" 0.0 r.bottleneck);
-  match RR.Mincog.min_bottleneck net ~source:0 ~target:3 with
+  match min_bottleneck net ~source:0 ~target:3 with
   | None -> Alcotest.fail "exact bottleneck expected"
   | Some (b, _) -> check Alcotest.(float 1e-9) "exact bottleneck" 0.0 b
 
@@ -246,7 +272,7 @@ let prop_mincog_ratio_theorem3 =
       preload rng net 0.35;
       let target = Net.n_nodes net - 1 in
       match
-        (RR.Mincog.route net ~source:0 ~target, RR.Mincog.min_bottleneck net ~source:0 ~target)
+        (mincog net ~source:0 ~target, min_bottleneck net ~source:0 ~target)
       with
       | Error _, None -> true
       | Ok r, Some (bstar, _) ->
@@ -263,7 +289,7 @@ let prop_mincog_solutions_valid =
       let net = random_net (seed + 66) in
       preload rng net 0.3;
       let target = Net.n_nodes net - 1 in
-      match RR.Mincog.route net ~source:0 ~target with
+      match mincog net ~source:0 ~target with
       | Error _ -> true
       | Ok r -> Types.validate net { src = 0; dst = target } r.solution = Ok ())
 
@@ -278,7 +304,7 @@ let prop_load_cost_valid_and_bounded =
       let net = random_net (seed + 91) in
       preload rng net 0.3;
       let target = Net.n_nodes net - 1 in
-      match RR.Approx_load_cost.route net ~source:0 ~target with
+      match load_cost net ~source:0 ~target with
       | Error _ -> true
       | Ok r ->
         Types.validate net { src = 0; dst = target } r.solution = Ok ()
@@ -294,7 +320,7 @@ let test_load_cost_cheaper_than_load_only () =
     preload rng net 0.3;
     let target = Net.n_nodes net - 1 in
     match
-      (RR.Mincog.route net ~source:0 ~target, RR.Approx_load_cost.route net ~source:0 ~target)
+      (mincog net ~source:0 ~target, load_cost net ~source:0 ~target)
     with
     | Ok a, Ok b ->
       incr comparisons;
@@ -311,9 +337,9 @@ let test_load_cost_cheaper_than_load_only () =
 
 let test_two_step_fails_on_trap () =
   let net = trap_net () in
-  checkb "two-step trapped" true (RR.Baselines.two_step net ~source:0 ~target:3 = None);
+  checkb "two-step trapped" true (RR.Baselines.two_step ~workspace:(Rr_util.Workspace.create ()) net ~source:0 ~target:3 = None);
   checkb "suurballe-based approx succeeds" true
-    (Result.is_ok (RR.Approx_cost.route net ~source:0 ~target:3))
+    (Result.is_ok (approx net ~source:0 ~target:3))
 
 let test_unprotected_single_path () =
   let net = trap_net () in
@@ -396,9 +422,9 @@ let test_router_policy_names_roundtrip () =
 let test_router_admit_allocates () =
   let net = trap_net () in
   let before = Net.total_in_use net in
-  match RR.Router.admit net RR.Router.Cost_approx ~source:0 ~target:3 with
-  | None -> Alcotest.fail "admission expected"
-  | Some sol ->
+  match RR.Router.admit_result (ctx net) RR.Router.Cost_approx ~source:0 ~target:3 with
+  | Error _ -> Alcotest.fail "admission expected"
+  | Ok sol ->
     let expected =
       Slp.length sol.Types.primary
       + match sol.Types.backup with Some b -> Slp.length b | None -> 0
@@ -413,10 +439,11 @@ let test_router_admit_respects_capacity () =
   let net = trap_net () in
   let admitted = ref 0 in
   let continue = ref true in
+  let c = ctx net in
   while !continue do
-    match RR.Router.admit net RR.Router.Cost_approx ~source:0 ~target:3 with
-    | Some _ -> incr admitted
-    | None -> continue := false
+    match RR.Router.admit_result c RR.Router.Cost_approx ~source:0 ~target:3 with
+    | Ok _ -> incr admitted
+    | Error _ -> continue := false
   done;
   (* Each admission takes 4 links x 1 λ; with W=2 there is capacity for
      exactly 2 disjoint-pair admissions. *)
@@ -426,10 +453,10 @@ let test_router_blocked_cause () =
   (* The cause is a value: the same with observability off or on.  Its
      journal code and reply name come from one table. *)
   let run obs =
-    let net = trap_net () in
+    let c = ctx (trap_net ()) in
     List.init 3 (fun _ ->
         Result.map ignore
-          (RR.Router.admit_result ?obs net RR.Router.Cost_approx ~source:0
+          (RR.Router.admit_result ?obs c RR.Router.Cost_approx ~source:0
              ~target:3))
   in
   let expected = [ Ok (); Ok (); Error Types.No_disjoint_pair ] in
@@ -453,11 +480,13 @@ let prop_admit_matches_route_cost =
     ~count:40 QCheck.small_int (fun seed ->
       let net = random_net (seed + 811) in
       let target = Net.n_nodes net - 1 in
-      let planned = RR.Router.route net RR.Router.Cost_approx ~source:0 ~target in
-      let admitted = RR.Router.admit net RR.Router.Cost_approx ~source:0 ~target in
+      let planned = RR.Router.route (ctx net) RR.Router.Cost_approx ~source:0 ~target in
+      let admitted =
+        RR.Router.admit_result (ctx net) RR.Router.Cost_approx ~source:0 ~target
+      in
       match (planned, admitted) with
-      | Error _, None -> true
-      | Ok a, Some b -> Types.total_cost net a = Types.total_cost net b
+      | Error _, Error _ -> true
+      | Ok a, Ok b -> Types.total_cost net a = Types.total_cost net b
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -496,7 +525,7 @@ let test_partial_exposure_of_rates () =
 
 let test_partial_admit_segmented () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
   | None -> Alcotest.fail "segmented admission expected"
   | Some (primary, protection) ->
     check Alcotest.(list int) "primary is the spine" [ 0; 1; 2 ]
@@ -520,7 +549,7 @@ let test_partial_admit_segmented () =
 
 let test_partial_admit_unexposed_needs_no_backup () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only []) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only []) (ctx net) ~source:0 ~target:3 with
   | Some (primary, Protect.Segments []) ->
     check Alcotest.int "spine only" 3 (List.length primary.Slp.hops);
     check Alcotest.int "zero backup hops" 0
@@ -534,7 +563,7 @@ let test_partial_admit_falls_back_to_full () =
      directed), so segmentation cannot cover the exposure and the classic
      edge-disjoint pair takes over. *)
   let net = trap_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
   | None -> Alcotest.fail "fallback admission expected"
   | Some (primary, Protect.Full b) ->
     checkb "pair is edge-disjoint" true (Slp.edge_disjoint primary b);
@@ -545,12 +574,12 @@ let test_partial_admit_falls_back_to_full () =
 
 let test_restore_splices_segment () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
   | None -> Alcotest.fail "admission expected"
   | Some (primary, protection) -> (
     Net.fail_link net 1;
     match
-      Restore.restore net RR.Router.Cost_approx
+      Restore.restore (ctx net) RR.Router.Cost_approx
         ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
     with
     | Restore.Switched (working, after) ->
@@ -565,7 +594,7 @@ let test_restore_splices_segment () =
 
 let test_restore_drops_when_residual_exhausted () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
   | None -> Alcotest.fail "admission expected"
   | Some (primary, protection) -> (
     (* Fell both the exposed hop and its detour: nothing covers the
@@ -573,7 +602,7 @@ let test_restore_drops_when_residual_exhausted () =
     Net.fail_link net 1;
     Net.fail_link net 4;
     match
-      Restore.restore net RR.Router.Cost_approx
+      Restore.restore (ctx net) RR.Router.Cost_approx
         ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
     with
     | Restore.Dropped ->
@@ -583,7 +612,7 @@ let test_restore_drops_when_residual_exhausted () =
 
 let test_restore_switches_to_full_backup () =
   let net = trap_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) net ~source:0 ~target:3 with
+  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
   | None -> Alcotest.fail "admission expected"
   | Some (primary, protection) -> (
     let b =
@@ -595,7 +624,7 @@ let test_restore_switches_to_full_backup () =
      | e :: _ -> Net.fail_link net e
      | [] -> Alcotest.fail "primary has hops");
     match
-      Restore.restore net RR.Router.Cost_approx
+      Restore.restore (ctx net) RR.Router.Cost_approx
         ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
     with
     | Restore.Switched (working, _) ->

@@ -1,5 +1,5 @@
-(* Tests for the extensions beyond the paper: node-disjoint protection,
-   k-fold protection, and shared backup protection (backup multiplexing). *)
+(* Tests for the extensions beyond the paper: node-disjoint protection and
+   shared backup protection (backup multiplexing), among others. *)
 
 module Net = Rr_wdm.Network
 module Conv = Rr_wdm.Conversion
@@ -12,6 +12,14 @@ module Rng = Rr_util.Rng
 let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let qtest = QCheck_alcotest.to_alcotest
+
+(* One-shot policy calls, each on a fresh admission context. *)
+let approx net ~source ~target =
+  RR.Router.route (RR.Router.context net) RR.Router.Cost_approx ~source ~target
+
+let node_protect net ~source ~target =
+  RR.Node_protect.route ~workspace:(Rr_util.Workspace.create ()) net ~source
+    ~target
 
 let link ?(lambdas = [ 0; 1 ]) ?(weight = fun _ -> 1.0) u v =
   { Net.ls_src = u; ls_dst = v; ls_lambdas = lambdas; ls_weight = weight }
@@ -41,17 +49,17 @@ let test_node_protect_refuses_waist () =
   let net = hourglass () in
   (* Edge-disjoint pairs 0 -> 5 exist (e.g. 0-1-2-3-5 and 0-2-4-5)... *)
   checkb "edge-disjoint pair exists" true
-    (Result.is_ok (RR.Approx_cost.route net ~source:0 ~target:5));
+    (Result.is_ok (approx net ~source:0 ~target:5));
   (* ... but every 0 -> 5 path transits node 2. *)
   checkb "node-disjoint pair impossible" true
-    (Result.is_error (RR.Node_protect.route net ~source:0 ~target:5))
+    (Result.is_error (node_protect net ~source:0 ~target:5))
 
 let test_node_protect_on_ring () =
   let net =
     Rr_topo.Fitout.fit_out ~rng:(Rng.create 2) ~n_wavelengths:2
       (Rr_topo.Reference.ring 6)
   in
-  match RR.Node_protect.route net ~source:0 ~target:3 with
+  match node_protect net ~source:0 ~target:3 with
   | Error _ -> Alcotest.fail "ring arcs are node-disjoint"
   | Ok sol ->
     checkb "valid" true (Types.validate net { src = 0; dst = 3 } sol = Ok ());
@@ -62,7 +70,7 @@ let prop_node_protect_solutions_node_disjoint =
     ~count:60 QCheck.small_int (fun seed ->
       let net = random_net (seed + 17) in
       let target = Net.n_nodes net - 1 in
-      match RR.Node_protect.route net ~source:0 ~target with
+      match node_protect net ~source:0 ~target with
       | Error _ -> true
       | Ok sol ->
         Types.validate net { src = 0; dst = target } sol = Ok ()
@@ -75,133 +83,11 @@ let prop_node_protect_never_beats_edge_protect =
       let net = random_net (seed + 53) in
       let target = Net.n_nodes net - 1 in
       match
-        ( RR.Node_protect.route net ~source:0 ~target,
+        ( node_protect net ~source:0 ~target,
           RR.Exact.route net ~source:0 ~target )
       with
       | Ok sol, Some (_, opt) -> Types.total_cost net sol >= opt -. 1e-6
       | _ -> true)
-
-(* ------------------------------------------------------------------ *)
-(* Multi_protect                                                        *)
-
-let test_multi_protect_ring () =
-  let net =
-    Rr_topo.Fitout.fit_out ~rng:(Rng.create 4) ~n_wavelengths:2
-      (Rr_topo.Reference.ring 6)
-  in
-  check Alcotest.int "ring supports k=2" 2
-    (RR.Multi_protect.max_protection net ~source:0 ~target:3);
-  (match RR.Multi_protect.route net ~k:2 ~source:0 ~target:3 with
-   | None -> Alcotest.fail "pair expected"
-   | Some paths -> check Alcotest.int "two paths" 2 (List.length paths));
-  checkb "k=3 infeasible on a ring" true
-    (RR.Multi_protect.route net ~k:3 ~source:0 ~target:3 = None)
-
-let test_multi_protect_grid () =
-  let net =
-    Rr_topo.Fitout.fit_out ~rng:(Rng.create 4) ~n_wavelengths:4
-      (Rr_topo.Reference.grid 3 3)
-  in
-  (* Corner-to-corner in a 3x3 grid: exactly 2 edge-disjoint paths. *)
-  check Alcotest.int "corner max" 2 (RR.Multi_protect.max_protection net ~source:0 ~target:8);
-  (* Centre column node 1 -> node 7 has 3. *)
-  check Alcotest.int "centre max" 3 (RR.Multi_protect.max_protection net ~source:1 ~target:7);
-  match RR.Multi_protect.route net ~k:3 ~source:1 ~target:7 with
-  | None -> Alcotest.fail "k=3 expected"
-  | Some paths ->
-    check Alcotest.int "three paths" 3 (List.length paths);
-    (* pairwise edge-disjoint and individually valid *)
-    let rec pairs = function
-      | [] -> []
-      | x :: rest -> List.map (fun y -> (x, y)) rest @ pairs rest
-    in
-    List.iter
-      (fun p ->
-        checkb "valid" true (Slp.validate net ~source:1 ~target:7 p = Ok ()))
-      paths;
-    List.iter
-      (fun (a, b) -> checkb "disjoint" true (Slp.edge_disjoint a b))
-      (pairs paths)
-
-let prop_multi_protect_k2_close_to_suurballe =
-  (* k=2 via min-cost flow should be as cheap as the Suurballe pipeline
-     (both then refine per subgraph; allow small slack for different
-     tie-breaking between equal-cost flows). *)
-  QCheck.Test.make ~name:"multi-protect k=2 matches approx pipeline cost"
-    ~count:40 QCheck.small_int (fun seed ->
-      let net = random_net (seed + 29) in
-      let target = Net.n_nodes net - 1 in
-      match
-        ( RR.Multi_protect.route net ~k:2 ~source:0 ~target,
-          RR.Approx_cost.route net ~source:0 ~target )
-      with
-      | None, Error _ -> true
-      | Some paths, Ok sol ->
-        let ck2 = List.fold_left (fun acc p -> acc +. Slp.cost net p) 0.0 paths in
-        let ca = Types.total_cost net sol in
-        Float.abs (ck2 -. ca) < 0.5 *. Float.max 1.0 (Float.max ck2 ca)
-      | _ -> true)
-
-let prop_multi_protect_sorted_and_disjoint =
-  QCheck.Test.make ~name:"multi-protect paths sorted by cost, pairwise disjoint"
-    ~count:40 QCheck.small_int (fun seed ->
-      let net = random_net ~n:10 ~w:4 (seed + 71) in
-      let target = Net.n_nodes net - 1 in
-      let kmax = min 3 (RR.Multi_protect.max_protection net ~source:0 ~target) in
-      if kmax < 1 then true
-      else
-        match RR.Multi_protect.route net ~k:kmax ~source:0 ~target with
-        | None -> false
-        | Some paths ->
-          let costs = List.map (Slp.cost net) paths in
-          let sorted = List.sort compare costs in
-          costs = sorted
-          && List.length paths = kmax
-          &&
-          let rec pairwise = function
-            | [] -> true
-            | x :: rest ->
-              List.for_all (Slp.edge_disjoint x) rest && pairwise rest
-          in
-          pairwise paths)
-
-(* Regression: with range-1 converters the layered optimum on a flow
-   path's subgraph can bounce over a link pair to chain two conversions
-   (7@0 16@0 17@1 16@1 ...).  Such a walk is no semilightpath; k-fold
-   protection must screen it out like the Section 3.3 refine does.  Over
-   these 400 nets the unscreened refine returned three such walks. *)
-let test_multi_protect_paths_validate () =
-  let n = 10 in
-  let routed = ref 0 in
-  for seed = 1 to 400 do
-    let rng = Rng.create seed in
-    let topo = Rr_topo.Random_topo.degree_bounded ~rng ~n ~degree:3 in
-    let convs =
-      Array.init n (fun _ -> if Rng.bool rng then Conv.No_conversion else Conv.Range (1, 0.0))
-    in
-    let net = Rr_topo.Fitout.fit_out ~rng ~n_wavelengths:3 ~converter:(Array.get convs) topo in
-    for e = 0 to Net.n_links net - 1 do
-      Rr_util.Bitset.iter
-        (fun l -> if Rng.uniform rng < 0.6 then Net.allocate net e l)
-        (Net.available net e)
-    done;
-    for _ = 1 to 20 do
-      let source = Rng.int rng n in
-      let target = (source + 1 + Rng.int rng (n - 1)) mod n in
-      match RR.Multi_protect.route net ~k:2 ~source ~target with
-      | None -> ()
-      | Some paths ->
-        incr routed;
-        List.iter
-          (fun p ->
-            match Slp.validate net ~source ~target p with
-            | Ok () -> ()
-            | Error msg ->
-              Alcotest.failf "seed %d, %d -> %d: %s" seed source target msg)
-          paths
-    done
-  done;
-  checkb "some requests routed" true (!routed > 1000)
 
 (* ------------------------------------------------------------------ *)
 (* Shared_protection                                                    *)
@@ -318,7 +204,7 @@ let prop_shared_protection_conserves =
           (* arrival: route with the approx algorithm, then admit through
              the sharing layer *)
           let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:n in
-          match RR.Approx_cost.route (SP.network sp) ~source:s ~target:d with
+          match approx (SP.network sp) ~source:s ~target:d with
           | Ok { Types.primary; backup = Some b } -> (
             let id = !next in
             incr next;
@@ -504,13 +390,14 @@ let test_reconfigure_respects_max_moves () =
   let net = random_net ~n:8 ~w:4 5 in
   let conns = ref [] in
   let id = ref 0 in
+  let ctx = RR.Router.context net in
   for _ = 1 to 15 do
     let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:8 in
-    match RR.Router.admit net RR.Router.Cost_approx ~source:s ~target:d with
-    | Some sol ->
+    match RR.Router.admit_result ctx RR.Router.Cost_approx ~source:s ~target:d with
+    | Ok sol ->
       incr id;
       conns := (!id, sol) :: !conns
-    | None -> ()
+    | Error _ -> ()
   done;
   let o = RR.Reconfigure.reduce_load ~max_moves:1 net !conns in
   checkb "at most one move" true (List.length o.RR.Reconfigure.moves <= 1)
@@ -542,7 +429,7 @@ let test_srlg_avoids_shared_conduit () =
   let net = conduit_net () in
   let groups = conduit_groups () in
   (* Plain edge-disjoint routing happily uses both conduit links. *)
-  (match RR.Approx_cost.route net ~source:0 ~target:3 with
+  (match approx net ~source:0 ~target:3 with
    | Ok sol ->
      checkb "edge-disjoint pair shares the trench" true
        (Srlg.share_risk groups
@@ -753,13 +640,14 @@ let prop_reconfigure_never_increases_load =
       (* admit a handful of connections with the cost-only policy *)
       let conns = ref [] in
       let id = ref 0 in
+      let ctx = RR.Router.context net in
       for _ = 1 to 12 do
         let s, d = Rr_sim.Workload.random_pair rng ~n_nodes:8 in
-        match RR.Router.admit net RR.Router.Cost_approx ~source:s ~target:d with
-        | Some sol ->
+        match RR.Router.admit_result ctx RR.Router.Cost_approx ~source:s ~target:d with
+        | Ok sol ->
           incr id;
           conns := (!id, sol) :: !conns
-        | None -> ()
+        | Error _ -> ()
       done;
       let before_use = Net.total_in_use net in
       let outcome = RR.Reconfigure.reduce_load net !conns in
@@ -922,15 +810,6 @@ let suite =
         Alcotest.test_case "ring ok" `Quick test_node_protect_on_ring;
         qtest prop_node_protect_solutions_node_disjoint;
         qtest prop_node_protect_never_beats_edge_protect;
-      ] );
-    ( "ext.multi_protect",
-      [
-        Alcotest.test_case "ring" `Quick test_multi_protect_ring;
-        Alcotest.test_case "grid" `Quick test_multi_protect_grid;
-        qtest prop_multi_protect_k2_close_to_suurballe;
-        qtest prop_multi_protect_sorted_and_disjoint;
-        Alcotest.test_case "paths validate (mixed range-1)" `Quick
-          test_multi_protect_paths_validate;
       ] );
     ( "ext.shared_protection",
       [

@@ -230,8 +230,8 @@ let test_parallel_merge_deterministic () =
 (* The perf-routing workload that exposed the bug: NSFNET, W=16, range-1
    converters, heavy preload.  Under the single-state layered graph,
    Approx_cost.route emitted backup semilightpaths with chained (and,
-   after the first fix, link-repeating) conversions that Router.admit
-   rejected — seed 47 is the scenario recorded in EXPERIMENTS.md, 48 the
+   after the first fix, link-repeating) conversions that the admission
+   validator rejected — seed 47 is the scenario recorded in EXPERIMENTS.md, 48 the
    one the sweep found for the second failure class. *)
 let perf_net ~preload seed =
   let rng = Rng.create seed in
@@ -253,12 +253,14 @@ let test_no_validator_rejects () =
       let net = perf_net ~preload seed in
       let rng = Rng.create (seed * 7 + 1) in
       let obs = Obs.create () in
-      let ws = Rr_util.Workspace.create () in
+      let ctx = Router.context net in
       for _ = 1 to 200 do
         let s, d =
           Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net)
         in
-        ignore (Router.admit ~workspace:ws ~obs net Router.Cost_approx ~source:s ~target:d)
+        ignore
+          (Router.admit_result ~obs ctx Router.Cost_approx ~source:s ~target:d
+            : (Types.solution, Types.blocked) result)
       done;
       let m = Obs.metrics obs in
       checki
@@ -277,15 +279,17 @@ let test_no_validator_rejects () =
 
 (* The probes one Cost_approx admission records — names, counter values
    and span counts — pinned so a kernel rewrite keeps /metrics meaning the
-   same thing: both Suurballe passes record a kernel.dijkstra span, and
-   the heap and workspace counters sum over every search. *)
+   same thing: the cache sync records its hit and [stage.aux_delta] span,
+   both Suurballe passes record a kernel.dijkstra span, and the heap and
+   workspace counters sum over every search. *)
 let test_admission_probe_set () =
-  let render ?workspace () =
-    let net = perf_net ~preload:0.25 47 in
-    let obs = Obs.create () in
-    ignore
-      (Router.admit ?workspace ~obs net Router.Cost_approx ~source:0 ~target:9
-        : Types.solution option);
+  let net = perf_net ~preload:0.25 47 in
+  let obs = Obs.create () in
+  ignore
+    (Router.admit_result ~obs (Router.context net) Router.Cost_approx ~source:0
+       ~target:9
+      : (Types.solution, Types.blocked) result);
+  let rendered =
     String.concat " "
       (List.map
          (fun (name, v) ->
@@ -295,15 +299,12 @@ let test_admission_probe_set () =
            | _ -> name)
          (Metrics.items (Obs.metrics obs)))
   in
-  let common =
-    "admit.ok=1 conv.expansions=96 heap.insert=346 heap.pop=288 \
-     kernel.dijkstra#2 kernel.layered#2 kernel.suurballe#1 req.admit#1 \
-     stage.allocate#1 stage.aux_graph#1 stage.disjoint_pair#1 stage.induce#1 \
-     stage.refine#1 stage.validate#1"
-  in
-  Alcotest.(check string) "pooled" (common ^ " workspace.hit=4")
-    (render ~workspace:(Rr_util.Workspace.create ()) ());
-  Alcotest.(check string) "unpooled" (common ^ " workspace.miss=4") (render ())
+  Alcotest.(check string) "pooled"
+    "admit.ok=1 aux.cache.hit=1 conv.expansions=96 heap.insert=346 \
+     heap.pop=288 kernel.dijkstra#2 kernel.layered#2 kernel.suurballe#1 \
+     req.admit#1 stage.allocate#1 stage.aux_delta#1 stage.disjoint_pair#1 \
+     stage.induce#1 stage.refine#1 stage.validate#1 workspace.hit=4"
+    rendered
 
 let test_sim_books_balance () =
   let rng = Rng.create 7 in
@@ -323,7 +324,7 @@ let test_sim_books_balance () =
   let c = r.Rr_sim.Simulator.counters in
   let m = Obs.metrics obs in
   (* Failure-free, class-free run: every offered request is exactly one
-     Router.admit call, so the report's counters and the obs registry must
+     admission, so the report's counters and the obs registry must
      agree to the unit. *)
   checkb "some traffic offered" true (c.Rr_sim.Metrics.offered > 100);
   checki "admit.ok = admitted" c.Rr_sim.Metrics.admitted

@@ -101,6 +101,8 @@ let prop_pooled_layered_matches =
       done;
       !ok)
 
+(* One long-lived admission context (its cache synced across allocations,
+   its workspace reused) decides exactly as a fresh context per call. *)
 let prop_pooled_router_matches =
   QCheck.Test.make ~name:"pooled Router.route = unpooled, all policies"
     ~count:15 QCheck.small_int (fun seed ->
@@ -108,25 +110,26 @@ let prop_pooled_router_matches =
       let net = random_net ~w:3 (seed + 9100) in
       preload rng net 0.25;
       let n = Net.n_nodes net in
-      let ws = Workspace.create () in
+      let ctx = RR.Router.context net in
       let ok = ref true in
       List.iter
         (fun policy ->
           for _ = 1 to 5 do
             let s = Rng.int rng n and t = Rng.int rng n in
             if s <> t then begin
-              let fresh = RR.Router.route net policy ~source:s ~target:t in
-              let pooled =
-                RR.Router.route ~workspace:ws net policy ~source:s ~target:t
+              let fresh =
+                RR.Router.route (RR.Router.context net) policy ~source:s ~target:t
               in
-              if fresh <> pooled then ok := false
+              let pooled = RR.Router.route ctx policy ~source:s ~target:t in
+              if fresh <> pooled then ok := false;
+              (* Allocate what fits, so the next call's sync sees a delta. *)
+              match pooled with
+              | Ok sol when Types.validate net { Types.src = s; dst = t } sol = Ok () ->
+                Types.allocate net sol
+              | Ok _ | Error _ -> ()
             end
           done)
-        [
-          RR.Router.Cost_approx; RR.Router.Load_aware; RR.Router.Load_cost;
-          RR.Router.Two_step; RR.Router.First_fit; RR.Router.Unprotected;
-          RR.Router.Node_protect;
-        ];
+        (List.filter (fun p -> p <> RR.Router.Exact) RR.Router.all_policies);
       !ok)
 
 let test_workspace_stale_tree_raises () =

@@ -533,6 +533,7 @@ let test_server_differential () =
   let next_id = ref 0 in
   let admitted_total = ref 0 in
   let blocked_total = ref 0 in
+  let ctx = Router.context net in
   let expect =
     List.map
       (fun req ->
@@ -541,7 +542,7 @@ let test_server_differential () =
           let p = Option.value policy ~default:Router.Cost_approx in
           let rid = !next_id in
           incr next_id;
-          match Router.admit_result net p ~source:src ~target:dst with
+          match Router.admit_result ctx p ~source:src ~target:dst with
           | Ok sol ->
             Hashtbl.replace conns rid sol;
             incr admitted_total;
