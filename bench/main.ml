@@ -618,9 +618,7 @@ let run_syn_sharing () =
           let q = Rr_sim.Event_queue.create () in
           Rr_sim.Event_queue.schedule q (Rr_sim.Workload.interarrival rng wl) `Arrival;
           let next_id = ref 0 in
-          let dedicated_backups : (int, Rr_wdm.Semilightpath.t) Hashtbl.t =
-            Hashtbl.create 64
-          in
+          let dedicated : unit RR.Connections.t = RR.Connections.create ctx in
           let finished = ref false in
           while not !finished do
             match Rr_sim.Event_queue.next q with
@@ -634,7 +632,7 @@ let run_syn_sharing () =
                   Rr_sim.Workload.random_pair rng ~n_nodes:(Net.n_nodes net)
                 in
                 (match Router.route ctx Router.Cost_approx ~source:s ~target:d with
-                 | Ok { Types.primary; backup = Some b } ->
+                 | Ok ({ Types.primary; backup = Some b } as sol) ->
                    let id = !next_id in
                    incr next_id;
                    let ok =
@@ -643,16 +641,17 @@ let run_syn_sharing () =
                          ~backup_links:(Slp.links b)
                        <> None
                      else begin
-                       (* dedicated: allocate both paths exclusively *)
-                       try
-                         Types.allocate net { Types.primary; backup = Some b };
-                         Hashtbl.replace dedicated_backups id b;
-                         (* remember primary for release *)
-                         Hashtbl.replace dedicated_backups (-id - 1)
-                           primary;
+                       (* dedicated: the book allocates both paths
+                          exclusively *)
+                       match
+                         RR.Connections.add dedicated ~id
+                           ~request:{ Types.src = s; dst = d }
+                           ~policy:Router.Cost_approx () (RR.Connections.Routed sol)
+                       with
+                       | _ ->
                          dedicated_held := !dedicated_held + Slp.length b;
                          true
-                       with Invalid_argument _ -> false
+                       | exception Invalid_argument _ -> false
                      end
                    in
                    if ok then begin
@@ -673,18 +672,13 @@ let run_syn_sharing () =
                   `Arrival
               | `Departure id ->
                 if shared then Rr_sim.Shared_protection.release sp ~conn:id
-                else begin
-                  match
-                    ( Hashtbl.find_opt dedicated_backups id,
-                      Hashtbl.find_opt dedicated_backups (-id - 1) )
-                  with
-                  | Some b, Some p ->
-                    Types.release net { Types.primary = p; backup = Some b };
-                    dedicated_held := !dedicated_held - Slp.length b;
-                    Hashtbl.remove dedicated_backups id;
-                    Hashtbl.remove dedicated_backups (-id - 1)
-                  | _ -> ()
-                end)
+                else
+                  Option.iter
+                    (fun (c : unit RR.Connections.conn) ->
+                      dedicated_held :=
+                        !dedicated_held - RR.Partial_protect.backup_hops c.protection;
+                      RR.Connections.release dedicated c)
+                    (RR.Connections.find dedicated id))
           done;
           (* dedicated scheme: count backup wavelengths as Σ backup hops *)
           let mean_backup =
@@ -1512,7 +1506,11 @@ let run_perf_routing () =
      commit actually meets link-sharing components and sequential
      fallbacks, as the batch grows and the network fills up.  The
      counters are functions of the batch alone, so the cheap sequential
-     engine measures them. *)
+     engine measures them.  The requests come from the sweep's own seeded
+     stream of short-haul pairs: the timing loops above advance
+     [next_pair] a variable number of times, and the table must not
+     depend on that. *)
+  let conflict_rng = Rng.create 67 in
   let conflict_rows =
     List.concat_map
       (fun size ->
@@ -1521,7 +1519,10 @@ let run_perf_routing () =
             let cnet = perf_net ~w:16 ~preload 61 in
             let creqs =
               List.init size (fun _ ->
-                  let s, d = next_pair () in
+                  let s, d =
+                    Rr_graph.Digraph.endpoints g
+                      (Rng.int conflict_rng (Rr_graph.Digraph.n_edges g))
+                  in
                   { Types.src = s; dst = d })
             in
             let cobs = Rr_obs.Obs.create () in

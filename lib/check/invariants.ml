@@ -950,25 +950,20 @@ let check_serve inst =
 (* ------------------------------------------------------------------ *)
 (* Survivability: restoration under scripted failure bursts            *)
 
-type surv_conn = {
-  sc_src : int;
-  sc_dst : int;
-  mutable sc_active : Slp.t;
-  mutable sc_prot : RR.Partial_protect.protection;
-}
-
-(* Restoration must never corrupt the books.  A scripted failure/repair
-   sequence drives {!Robust_routing.Restore} over a mixed population of
-   fully-protected, partially-protected and effectively-unprotected
-   connections; after every step the surviving state is checked against
-   the Eq. 1 / Eq. 2 invariants, and the network's whole allocation state
-   must equal a from-scratch re-allocation of the surviving working and
-   protection paths onto a fresh copy of the instance network (the
-   strongest possible statement that releases and splices returned
-   exactly the resources they should have). *)
+(* Restoration must never corrupt the books.  A scripted sequence of
+   failure bursts, node outages, preemptions (evict, then reinstate or
+   re-route) and repairs drives {!Robust_routing.Connections} over a
+   mixed population of fully-protected, partially-protected and
+   effectively-unprotected connections; after every step the surviving
+   state is checked against the Eq. 1 / Eq. 2 invariants, and the
+   network's whole allocation state must equal a from-scratch
+   re-allocation of the surviving working and protection paths onto a
+   fresh copy of the instance network (the strongest possible statement
+   that releases and splices returned exactly the resources they should
+   have).  The re-allocation is the oracle's own code, not the book's. *)
 let check_survive inst =
   let module Protect = RR.Partial_protect in
-  let module Restore = RR.Restore in
+  let module Book = RR.Connections in
   let net = Instance.network inst in
   let n = Net.n_nodes net in
   let m = Net.n_links net in
@@ -998,84 +993,104 @@ let check_survive inst =
         Protect.Only !s
       end
     in
-    let conns : (int, surv_conn) Hashtbl.t = Hashtbl.create 16 in
+    let book : unit Book.t = Book.create ctx in
     let next_id = ref 0 in
-    let random_pair () =
+    let fresh_id () =
+      let id = !next_id in
+      incr next_id;
+      id
+    in
+    let random_request () =
       let s = Rng.int rng n in
       let d = Rng.int rng (n - 1) in
-      (s, if d >= s then d + 1 else d)
+      { Types.src = s; dst = (if d >= s then d + 1 else d) }
     in
     (* Alternate admission mechanisms so restoration sees every protection
        shape: classic full pairs and partial (segment) protection. *)
     let admit_one () =
-      let s, d = random_pair () in
-      let id = !next_id in
-      incr next_id;
+      let request = random_request () in
+      let { Types.src = source; dst = target } = request in
+      let id = fresh_id () in
       let admitted =
         if id land 1 = 0 then
-          match Router.admit_result ~req:id ctx policy ~source:s ~target:d with
-          | Ok sol ->
-            let prot =
-              match sol.Types.backup with
-              | Some b -> Protect.Full b
-              | None -> Protect.Unprotected
-            in
-            Some (sol.Types.primary, prot)
-          | Error _ -> None
-        else Protect.admit ~exposure ctx ~source:s ~target:d
+          Router.admit_result ~req:id ctx policy ~source ~target
+          |> Result.to_option
+          |> Option.map (fun sol -> Book.Admitted sol)
+        else
+          Protect.admit ~exposure ctx ~source ~target
+          |> Option.map (fun (primary, prot) -> Book.Partial (primary, prot))
       in
-      match admitted with
-      | None -> ()
-      | Some (primary, prot) ->
-        Hashtbl.replace conns id
-          { sc_src = s; sc_dst = d; sc_active = primary; sc_prot = prot }
+      Option.iter (fun a -> ignore (Book.add book ~id ~request ~policy () a)) admitted
     in
-    (* lint: ordered — sorted by connection id below *)
-    let sorted_conns () =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) conns []
-      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+    (* The oracle's own view of what a connection holds. *)
+    let footprint (c : unit Book.conn) =
+      c.working
+      ::
+      (match c.protection with
+       | Protect.Unprotected -> []
+       | Protect.Full b -> [ b ]
+       | Protect.Segments segs -> List.map (fun seg -> seg.Protect.seg_detour) segs)
     in
-    let restore_pass () =
-      List.iter
-        (fun (id, c) ->
-          if
-            Hashtbl.mem conns id
-            && List.exists (Net.is_failed net) (Slp.links c.sc_active)
-          then begin
-            let rid = !next_id in
-            incr next_id;
-            match
-              Restore.restore ~req:rid ~reprovision:(Rng.uniform rng < 0.3) ctx
-                policy
-                ~request:{ Types.src = c.sc_src; dst = c.sc_dst }
-                ~primary:c.sc_active ~protection:c.sc_prot
-            with
-            | Restore.Switched (p, prot) | Restore.Rerouted (p, prot) ->
-              c.sc_active <- p;
-              c.sc_prot <- prot
-            | Restore.Dropped -> Hashtbl.remove conns id
-          end)
-        (sorted_conns ())
+    (* Fail [links] (and [nodes]) at once, then one restoration pass. *)
+    let outage ?nodes links =
+      List.iter (Net.fail_link net) links;
+      Book.fail ?nodes ~reprovision:(Rng.uniform rng < 0.3) book ~links
+        ~req:fresh_id ~on:(fun _ _ -> ())
+    in
+    (* Preemption as the simulator runs it: evict one or two connections
+       whose footprint is all on live links (what [reinstate] needs), try
+       a new request on the freed capacity, then either re-route each
+       victim unprotected or lose it, or — if the request still blocks —
+       put every victim back on its old footprint. *)
+    let routed policy (r : Types.request) =
+      match Router.route ctx policy ~source:r.src ~target:r.dst with
+      | Ok s when Result.is_ok (Types.validate net r s) -> Some s
+      | Ok _ | Error _ -> None
+    in
+    let preempt () =
+      let intact c =
+        not (List.exists (Net.is_failed net) (List.concat_map Slp.links (footprint c)))
+      in
+      let victims =
+        List.filter (fun c -> intact c && Rng.uniform rng < 0.4) (Book.conns book)
+        |> List.filteri (fun i _ -> i < 2)
+      in
+      List.iter (Book.evict book) victims;
+      let request = random_request () in
+      match routed policy request with
+      | None -> List.iter (Book.reinstate book) victims
+      | Some sol ->
+        ignore (Book.add book ~id:(fresh_id ()) ~request ~policy () (Book.Routed sol));
+        List.iter
+          (fun (c : unit Book.conn) ->
+            Option.iter
+              (fun s ->
+                ignore
+                  (Book.add book ~id:c.id ~request:c.request ~policy:c.policy ()
+                     (Book.Routed s)))
+              (routed Router.Unprotected c.request))
+          victims
     in
     let scan () =
       List.fold_left
-        (fun acc (id, c) ->
+        (fun acc (c : unit Book.conn) ->
+          let id = c.id in
           let* () = acc in
           let* () =
-            if not (Slp.link_simple c.sc_active) then
+            if not (Slp.link_simple c.working) then
               fail "conn %d: working path repeats a physical link" id
             else None
           in
           let* () =
-            match List.find_opt (Net.is_failed net) (Slp.links c.sc_active) with
+            match List.find_opt (Net.is_failed net) (Slp.links c.working) with
             | Some e -> fail "conn %d: working path crosses failed link %d" id e
             | None -> None
           in
           let* () =
-            match manual_cost net c.sc_active with
+            match manual_cost net c.working with
             | Error msg -> fail "conn %d: %s" id msg
             | Ok expected ->
-              let got = Slp.cost net c.sc_active in
+              let got = Slp.cost net c.working in
               if not (Float.is_finite got) then
                 fail "conn %d: non-finite working cost" id
               else if not (close got expected) then
@@ -1083,12 +1098,12 @@ let check_survive inst =
                   expected
               else None
           in
-          match c.sc_prot with
+          match c.protection with
           | Protect.Unprotected -> None
           | Protect.Full b ->
             if not (Slp.link_simple b) then
               fail "conn %d: backup repeats a physical link" id
-            else if not (Slp.edge_disjoint c.sc_active b) then
+            else if not (Slp.edge_disjoint c.working b) then
               fail "conn %d: full backup shares a link with the working path"
                 id
             else None
@@ -1100,7 +1115,7 @@ let check_survive inst =
                   fail "conn %d: segment detour repeats a physical link" id
                 else None)
               None segs)
-        None (sorted_conns ())
+        None (Book.conns book)
     in
     (* Eq. 2 books balance: the live allocation state must be exactly what
        re-allocating every surviving path onto a fresh network produces
@@ -1109,16 +1124,8 @@ let check_survive inst =
       let fresh = Instance.network inst in
       match
         List.iter
-          (fun (_, c) ->
-            Slp.allocate fresh c.sc_active;
-            match c.sc_prot with
-            | Protect.Unprotected -> ()
-            | Protect.Full b -> Slp.allocate fresh b
-            | Protect.Segments segs ->
-              List.iter
-                (fun seg -> Slp.allocate fresh seg.Protect.seg_detour)
-                segs)
-          (sorted_conns ())
+          (fun c -> List.iter (Slp.allocate fresh) (footprint c))
+          (Book.conns book)
       with
       | () ->
         for e = 0 to m - 1 do
@@ -1158,20 +1165,32 @@ let check_survive inst =
       incr step;
       (* lint: ordered — ascending by construction *)
       let down = List.filter (Net.is_failed net) (List.init m Fun.id) in
-      if (not (List.is_empty down)) && Rng.uniform rng < 0.35 then
+      let u = Rng.uniform rng in
+      if (not (List.is_empty down)) && u < 0.3 then
         (* repair burst: bring most of the plant back *)
         List.iter
           (fun e -> if Rng.uniform rng < 0.7 then Net.repair_link net e)
           down
+      else if u < 0.45 then preempt ()
+      else if u < 0.6 then begin
+        (* node outage: every live incident fibre fails at once and the
+           node's own connections are dropped inside the same pass *)
+        let v = Rng.int rng n in
+        outage ~nodes:[ v ]
+          (List.filter
+             (fun e ->
+               (not (Net.is_failed net e))
+               && (Net.link_src net e = v || Net.link_dst net e = v))
+             (List.init m Fun.id))
+      end
       else begin
         (* failure burst: one to three correlated cuts, then restoration
            in ascending connection-id order *)
         let burst = 1 + Rng.int rng (min 3 m) in
-        for _ = 1 to burst do
-          let e = Rng.int rng m in
-          if not (Net.is_failed net e) then Net.fail_link net e
-        done;
-        restore_pass ()
+        outage
+          (List.init burst (fun _ -> Rng.int rng m)
+          |> List.sort_uniq Int.compare
+          |> List.filter (fun e -> not (Net.is_failed net e)))
       end;
       if Rng.uniform rng < 0.5 then admit_one ();
       err := (match scan () with Some _ as s -> s | None -> books ())

@@ -90,10 +90,12 @@ val check_serve : Instance.t -> string option
     responses aligned with request positions, overflow answered [Busy]. *)
 
 val check_survive : Instance.t -> string option
-(** Survivability: a scripted failure/repair burst sequence over a mixed
-    population of fully-protected, partially-protected (segment detours)
-    and unprotected connections, with {!Robust_routing.Restore} run after
-    every burst in ascending connection-id order.  After every step, every
+(** Survivability: a scripted sequence of failure bursts, node outages
+    (endpoint drops), preemptions (evict, then reinstate, re-route or
+    lose) and repairs over a mixed population of fully-protected,
+    partially-protected (segment detours) and unprotected connections
+    held in one {!Robust_routing.Connections} book, restored after every
+    burst in ascending connection-id order.  After every step, every
     surviving working path must be link-simple, avoid every failed link
     and re-price exactly (Eq. 1); [Full] backups must stay edge-disjoint
     from their working paths; and the network's whole allocation state

@@ -12,21 +12,13 @@ type protection =
   | Full of Slp.t
   | Segments of segment list
 
-let backup_hops = function
-  | Unprotected -> 0
-  | Full b -> List.length b.Slp.hops
-  | Segments segs ->
-    List.fold_left
-      (fun acc s -> acc + List.length s.seg_detour.Slp.hops)
-      0 segs
+let paths = function
+  | Unprotected -> []
+  | Full b -> [ b ]
+  | Segments segs -> List.map (fun s -> s.seg_detour) segs
 
-let cost net = function
-  | Unprotected -> 0.0
-  | Full b -> Slp.cost net b
-  | Segments segs ->
-    List.fold_left
-      (fun acc s -> acc +. Slp.cost net s.seg_detour)
-      0.0 segs
+let backup_hops p = List.fold_left (fun acc b -> acc + Slp.length b) 0 (paths p)
+let cost net p = List.fold_left (fun acc b -> acc +. Slp.cost net b) 0.0 (paths p)
 
 let exposure_of_rates rates =
   if Array.for_all (fun r -> r > 0.0) rates then All
@@ -78,17 +70,15 @@ let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
     | Some { Types.backup = None; _ } | None -> None
   in
   let fallback () =
+    (* [Cost_approx] always routes a pair. *)
     match full with
-    | Some sol
+    | Some ({ Types.primary; backup = Some b } as sol)
       when (match Types.validate net request sol with
             | Ok () -> true
             | Error _ -> false) ->
       Types.allocate net sol;
       Obs.add obs "survive.partial.full_fallback" 1;
-      let protection =
-        match sol.Types.backup with Some b -> Full b | None -> Unprotected
-      in
-      Some (sol.Types.primary, protection)
+      Some (primary, Full b)
     | Some _ | None -> None
   in
   let segmented =
@@ -143,8 +133,7 @@ let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
         (match reserve [] runs with
          | Ok segs -> Some (primary, segs)
          | Error acc ->
-           List.iter (fun seg -> Slp.release net seg.seg_detour) acc;
-           Slp.release net primary;
+           List.iter (Slp.release net) (paths (Segments acc) @ [ primary ]);
            None))
     | Some _ | None -> None
   in
@@ -164,8 +153,7 @@ let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
       Some (primary, Segments segs)
     end
     else begin
-      Slp.release net primary;
-      List.iter (fun s -> Slp.release net s.seg_detour) segs;
+      List.iter (Slp.release net) (primary :: paths (Segments segs));
       fallback ()
     end
 

@@ -38,6 +38,9 @@ type protection =
       (** one detour per exposed run, ascending by [seg_lo]; [[]] means
           the primary has no failure-exposed hop and needs no backup *)
 
+val paths : protection -> Rr_wdm.Semilightpath.t list
+(** The reserved paths: the backup or the detours, in order. *)
+
 val backup_hops : protection -> int
 (** Reserved backup wavelength-links — the quantity the bench's
     survivability gate compares across policies. *)
@@ -80,4 +83,4 @@ val restore_segments :
     the other segments' detours and returns the spliced working path
     (running unprotected — the caller decides whether to re-provision).
     Returns [None] — releasing nothing — when the failure pattern is not
-    coverable; the caller falls back to {!Restore.restore} semantics. *)
+    coverable; the caller re-routes ({!Connections.fail}). *)

@@ -1,4 +1,4 @@
-type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8
+type rule = R1 | R2 | R3 | R4 | R5 | R6 | R7 | R8 | R9
 
 let rule_id = function
   | R1 -> "R1"
@@ -9,6 +9,7 @@ let rule_id = function
   | R6 -> "R6"
   | R7 -> "R7"
   | R8 -> "R8"
+  | R9 -> "R9"
 
 let rule_of_string = function
   | "R1" -> Some R1
@@ -19,9 +20,10 @@ let rule_of_string = function
   | "R6" -> Some R6
   | "R7" -> Some R7
   | "R8" -> Some R8
+  | "R9" -> Some R9
   | _ -> None
 
-let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8 ]
+let all_rules = [ R1; R2; R3; R4; R5; R6; R7; R8; R9 ]
 
 let rule_summary = function
   | R1 -> "polymorphic compare/equality in determinism scope"
@@ -32,6 +34,7 @@ let rule_summary = function
   | R6 -> "module-level mutable state touched in worker-domain scope"
   | R7 -> "pool-slot value escaping its worker domain"
   | R8 -> "allocation reachable from a (* lint: no-alloc *) hot path"
+  | R9 -> "connection resources allocated or released outside the connection book"
 
 type t = {
   file : string;

@@ -11,6 +11,13 @@ let hot_kernel file =
   List.mem file
     [ "lib/graph/dijkstra.ml"; "lib/graph/suurballe.ml"; "lib/wdm/layered.ml" ]
 
+let book_only file =
+  String.equal file "lib/sim/simulator.ml" || has_prefix ~prefix:"lib/serve/" file
+
+let connection_resource_functions =
+  [ "Semilightpath.allocate"; "Semilightpath.release"; "Types.allocate"
+  ; "Types.release" ]
+
 let optional_labels = [ "obs"; "workspace" ]
 
 let probe_functions =

@@ -10,10 +10,18 @@
     - R3 (instrumentation threading) and R4 (probe names): all scanned
       code.
     - R5 (hot-path purity): the three search kernels on the per-request
-      hot path. *)
+      hot path.
+    - R9 (one connection book): [lib/sim/simulator.ml] and [lib/serve],
+      the owners of live connections, which must leave their resources
+      to [Robust_routing.Connections]. *)
 
 val determinism : string -> bool
 val hot_kernel : string -> bool
+val book_only : string -> bool
+
+val connection_resource_functions : string list
+(** [Semilightpath.allocate]/[release] and [Types.allocate]/[release], as
+    normalized resolved paths: the calls R9 flags in {!book_only} files. *)
 
 val optional_labels : string list
 (** The threaded optionals R3 tracks: [obs] and [workspace].  The

@@ -109,6 +109,7 @@ let scan ~source_info ~manifest ~rules ~file cmt =
     let opt_stack = ref [] in
     let determinism = Scope.determinism file in
     let hot = Scope.hot_kernel file in
+    let book_only = Scope.book_only file in
     let emit rule (loc : Location.t) fmt =
       Printf.ksprintf
         (fun msg ->
@@ -578,6 +579,18 @@ let scan ~source_info ~manifest ~rules ~file cmt =
           | _ -> ())
         | _ -> ()
     in
+    (* R9 — a connection's wavelengths are the book's alone: its owners
+       never allocate or release a path themselves.  The path is resolved
+       (module aliases expanded), so [Slp.release] is caught. *)
+    let check_book (e : expression) p =
+      if book_only then
+        let callee = display_of_path p in
+        if List.mem callee Scope.connection_resource_functions then
+          emit Finding.R9 e.exp_loc
+            "%s outside the connection book; record, release, evict or \
+             restore the connection through Robust_routing.Connections"
+            callee
+    in
     let callee_name (f : expression) =
       match f.exp_desc with
       | Texp_ident (p, _, _) -> Path.name p
@@ -711,6 +724,7 @@ let scan ~source_info ~manifest ~rules ~file cmt =
       (match e.exp_desc with
        | Texp_ident (p, _, _) ->
          check_ident e p;
+         check_book e p;
          record_ident e p
        | Texp_apply (f, args) ->
          check_apply e f args;

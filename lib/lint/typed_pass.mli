@@ -1,11 +1,13 @@
-(** The typed rule pass: R1–R5 over a module's [.cmt] typed AST, plus
+(** The typed rule pass: R1–R5 and R9 over a module's [.cmt] typed AST, plus
     the per-module summary feeding the interprocedural layer.
 
     Types let the pass distinguish a polymorphic [compare] instantiated
     at [int] (harmless) from one instantiated at a boxed type (a
     determinism hazard), recover the optional-argument labels a callee
     accepts for the R3 threading check, and see the compiler-inserted
-    ghost [None] of a dropped optional argument.
+    ghost [None] of a dropped optional argument.  Resolved paths let R9
+    see through module aliases ([Slp.release] is
+    [Semilightpath.release]).
 
     For the domain-safety rules the pass walks every closure handed to
     [Parallel.map]/[Parallel.run]/[Domain.spawn] a second time in

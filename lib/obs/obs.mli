@@ -80,7 +80,7 @@
                    ring wrap, [trace.dropped] spans lost likewise
     - [window.*]   reserved for sliding-window read-outs in exports
                    (the window itself is queried via {!window})
-    - [restore.*]  restoration counters ({!Robust_routing.Restore}):
+    - [restore.*]  restoration counters ({!Robust_routing.Connections.fail}):
                    [restore.attempt] (a primary lost a link),
                    [restore.switch] (traffic moved onto the reserved
                    backup or a spliced segment detour),

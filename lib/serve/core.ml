@@ -1,15 +1,15 @@
 module Net = Rr_wdm.Network
 module Router = Robust_routing.Router
 module Types = Robust_routing.Types
-module Restore = Robust_routing.Restore
-module Protect = Robust_routing.Partial_protect
+module Book = Robust_routing.Connections
 module Obs = Rr_obs.Obs
 
 type t = {
-  mutable ctx : Router.ctx;  (* the resident network, its cache and workspace *)
+  mutable book : unit Book.t;
+      (* the live connections over the resident context: network, cache
+         and workspace *)
   obs : Obs.t;
   default_policy : Router.policy;
-  conns : (int, Types.solution) Hashtbl.t;
   mutable next_id : int;
   mutable admitted_total : int;
   mutable blocked_total : int;
@@ -18,25 +18,35 @@ type t = {
 
 let create ?(policy = Router.Cost_approx) ?(obs = Obs.null) net =
   {
-    ctx = Router.context net;
+    book = Book.create (Router.context net);
     obs;
     default_policy = policy;
-    conns = Hashtbl.create 64;
     next_id = 0;
     admitted_total = 0;
     blocked_total = 0;
     stopping = false;
   }
 
-let network t = Router.network t.ctx
+let ctx t = Book.ctx t.book
+let network t = Router.network (ctx t)
 let obs t = t.obs
 let stopping t = t.stopping
 let default_policy t = t.default_policy
 
+let fresh_id t =
+  let id = t.next_id in
+  t.next_id <- id + 1;
+  id
+
+(* Failure-time re-routes use the default policy: snapshots do not carry a
+   connection's own. *)
+let add t ~id ~src ~dst sol =
+  ignore
+    (Book.add t.book ~id ~request:{ Types.src; dst } ~policy:t.default_policy ()
+       (Book.Admitted sol))
+
 let connections t =
-  (* lint: ordered — folded to a list and sorted by id before use *)
-  Hashtbl.fold (fun id sol acc -> (id, sol) :: acc) t.conns []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+  List.map (fun (c : unit Book.conn) -> (c.id, Book.solution c)) (Book.conns t.book)
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot text: the Network_io state description plus one serve-level
@@ -91,11 +101,13 @@ let load_snapshot t text =
   match Rr_wdm.Network_io.parse_snapshot text with
   | Error m -> Error m
   | Ok { Rr_wdm.Network_io.snap_net; snap_conns } ->
-    t.ctx <- Router.context snap_net;
-    Hashtbl.reset t.conns;
+    t.book <- Book.create (Router.context snap_net);
     List.iter
       (fun (id, primary, backup) ->
-        Hashtbl.replace t.conns id { Types.primary; backup })
+        add t ~id
+          ~src:(Rr_wdm.Semilightpath.source snap_net primary)
+          ~dst:(Rr_wdm.Semilightpath.target snap_net primary)
+          { Types.primary; backup })
       snap_conns;
     let max_id =
       List.fold_left (fun acc (id, _, _) -> max acc id) (-1) snap_conns
@@ -135,7 +147,7 @@ let stats t =
     Protocol.st_nodes = Net.n_nodes net;
     st_links = Net.n_links net;
     st_wavelengths = Net.n_wavelengths net;
-    st_connections = Hashtbl.length t.conns;
+    st_connections = Book.length t.book;
     st_in_use = Net.total_in_use net;
     st_load = Net.network_load net;
     st_failed_links = !failed;
@@ -193,14 +205,13 @@ let handle t (req : Protocol.request) : Protocol.response =
     else if src = dst then err Protocol.Bad_request "source equals destination (%d)" src
     else begin
       let policy = Option.value policy ~default:t.default_policy in
-      let rid = t.next_id in
-      t.next_id <- rid + 1;
+      let rid = fresh_id t in
       match
-        Router.admit_result ~obs:t.obs ~req:rid t.ctx policy ~source:src
+        Router.admit_result ~obs:t.obs ~req:rid (ctx t) policy ~source:src
           ~target:dst
       with
       | Ok sol ->
-        Hashtbl.replace t.conns rid sol;
+        add t ~id:rid ~src ~dst sol;
         t.admitted_total <- t.admitted_total + 1;
         Protocol.Admitted { id = rid; cost = Types.total_cost net sol }
       | Error b ->
@@ -208,11 +219,10 @@ let handle t (req : Protocol.request) : Protocol.response =
         Protocol.Blocked { cause = Types.blocked_name b }
     end
   | Protocol.Release { id } -> (
-    match Hashtbl.find_opt t.conns id with
+    match Book.find t.book id with
     | None -> err Protocol.Unknown_id "no connection %d" id
-    | Some sol ->
-      Types.release net sol;
-      Hashtbl.remove t.conns id;
+    | Some c ->
+      Book.release t.book c;
       Protocol.Released { id })
   | Protocol.Fail_link { link } ->
     if link < 0 || link >= Net.n_links net then
@@ -247,57 +257,11 @@ let handle t (req : Protocol.request) : Protocol.response =
           Net.fail_link net link;
           Obs.event t.obs ~a:link "journal.link.fail")
         links;
-      (* Restoration order is part of the decision sequence (each
-         re-route consumes residual wavelengths): process resident
-         connections in admission order, through the shared engine. *)
       let switched = ref 0 and rerouted = ref 0 and dropped = ref 0 in
-      List.iter
-        (fun (id, sol) ->
-          let hit =
-            List.exists
-              (fun e -> List.exists (Int.equal e) links)
-              (Rr_wdm.Semilightpath.links sol.Types.primary)
-          in
-          if hit then begin
-            let src = Rr_wdm.Semilightpath.source net sol.Types.primary in
-            let dst = Rr_wdm.Semilightpath.target net sol.Types.primary in
-            let protection =
-              match sol.Types.backup with
-              | Some b -> Protect.Full b
-              | None -> Protect.Unprotected
-            in
-            let rid = t.next_id in
-            t.next_id <- rid + 1;
-            match
-              Restore.restore ~obs:t.obs ~req:rid t.ctx t.default_policy
-                ~request:{ Types.src; dst } ~primary:sol.Types.primary
-                ~protection
-            with
-            | Restore.Switched (working, prot) ->
-              incr switched;
-              Hashtbl.replace t.conns id
-                {
-                  Types.primary = working;
-                  backup =
-                    (match prot with
-                     | Protect.Full b -> Some b
-                     | Protect.Unprotected | Protect.Segments _ -> None);
-                }
-            | Restore.Rerouted (working, prot) ->
-              incr rerouted;
-              Hashtbl.replace t.conns id
-                {
-                  Types.primary = working;
-                  backup =
-                    (match prot with
-                     | Protect.Full b -> Some b
-                     | Protect.Unprotected | Protect.Segments _ -> None);
-                }
-            | Restore.Dropped ->
-              incr dropped;
-              Hashtbl.remove t.conns id
-          end)
-        (connections t);
+      Book.fail ~obs:t.obs t.book ~links ~req:(fun () -> fresh_id t) ~on:(fun _ -> function
+          | Book.Switched -> incr switched
+          | Book.Rerouted -> incr rerouted
+          | Book.Dropped | Book.Endpoint_down -> incr dropped);
       Protocol.Burst_failed
         { links; switched = !switched; rerouted = !rerouted; dropped = !dropped })
   | Protocol.Repair_burst { links } -> (

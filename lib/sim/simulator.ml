@@ -1,10 +1,9 @@
-module Bitset = Rr_util.Bitset
 module Net = Rr_wdm.Network
 module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
 module Router = Robust_routing.Router
 module Types = Robust_routing.Types
-module Restore = Robust_routing.Restore
+module Book = Robust_routing.Connections
 module Protect = Robust_routing.Partial_protect
 module Rng = Rr_util.Rng
 
@@ -88,16 +87,12 @@ type report = {
   backup_hops_reserved : int;
 }
 
-type connection = {
-  id : int;
-  src : int;
-  dst : int;
+(* What the run keeps beside each connection in the book. *)
+type held = {
   klass : service_class;
   counted : bool;
   t_admit : float;
   t_depart : float; (* scheduled departure time *)
-  mutable active : Slp.t;
-  mutable protection : Protect.protection; (* reserved, still allocated *)
 }
 
 type event =
@@ -196,11 +191,11 @@ let run ?(obs = Obs.null) net0 config =
      previous routing call, and its one search workspace serves every
      routing call of the run, which runs on this domain alone. *)
   let ctx = Router.context net in
+  let book : held Book.t = Book.create ctx in
   let rng = Rng.create config.seed in
   let q = Event_queue.create () in
   let counters = Metrics.counters () in
   let load_trace = Metrics.trace () in
-  let connections : (int, connection) Hashtbl.t = Hashtbl.create 256 in
   let next_id = ref 0 in
   (* Request ids for request-scoped observability: every admission in
      the run — arrivals, batched epochs, restoration re-routes — gets the
@@ -256,25 +251,17 @@ let run ?(obs = Obs.null) net0 config =
     | Some (hotspots, bias) ->
       Workload.hotspot_pair rng ~n_nodes:(Net.n_nodes net) ~hotspots ~bias
   in
-  let release_protection conn =
-    match conn.protection with
-    | Protect.Unprotected -> ()
-    | Protect.Full b -> Slp.release net b
-    | Protect.Segments segs ->
-      List.iter (fun s -> Slp.release net s.Protect.seg_detour) segs
-  in
   (* Availability bookkeeping (counted connections only): a departure
      carries its whole holding time; a drop carries what ran and loses
      the scheduled remainder. *)
-  let note_carried time conn =
-    if conn.counted then
-      carried_time := !carried_time +. Float.max 0.0 (time -. conn.t_admit)
+  let note_carried time (c : held Book.conn) =
+    if c.data.counted then
+      carried_time := !carried_time +. Float.max 0.0 (time -. c.data.t_admit)
   in
-  let note_drop time conn =
-    if conn.counted then begin
-      carried_time := !carried_time +. Float.max 0.0 (time -. conn.t_admit);
-      lost_time := !lost_time +. Float.max 0.0 (conn.t_depart -. time)
-    end
+  let note_drop time (c : held Book.conn) =
+    note_carried time c;
+    if c.data.counted then
+      lost_time := !lost_time +. Float.max 0.0 (c.data.t_depart -. time)
   in
   (* Per-link exponential repairs when configured (a rate of 0 falls back
      to the constant delay); one repair event per link so staggered
@@ -295,11 +282,11 @@ let run ?(obs = Obs.null) net0 config =
   in
   (* Fail a set of links simultaneously (one fibre cut, a shared conduit,
      every fibre of a failed node or region), then restore affected
-     connections through the shared restoration engine. *)
-  let handle_failure time ?(failed_nodes = []) links =
+     connections through the book, in admission order. *)
+  let handle_failure time ~nodes links =
     Log.info (fun m ->
         m "t=%.2f failure of %d link(s)%s" time (List.length links)
-          (match failed_nodes with
+          (match nodes with
            | [] -> ""
            | vs ->
              Printf.sprintf " (node%s %s)"
@@ -310,64 +297,29 @@ let run ?(obs = Obs.null) net0 config =
         Net.fail_link net link;
         Obs.event obs ~a:link "journal.link.fail")
       links;
-    List.iter (fun v -> Obs.event obs ~a:v "journal.node.fail") failed_nodes;
+    List.iter (fun v -> Obs.event obs ~a:v "journal.node.fail") nodes;
     schedule_repairs time links;
-    (* Restoration order is part of the decision sequence (each reroute
-       consumes residual wavelengths), so it must not depend on hash
-       order: process connections in admission order. *)
-    let affected =
-      (* lint: ordered — sorted by connection id below *)
-      Hashtbl.fold (fun _ c acc -> c :: acc) connections []
-      |> List.sort (fun a b -> Int.compare a.id b.id)
-    in
-    let failed = Bitset.of_list n_links links in
-    List.iter
-      (fun conn ->
-        if Hashtbl.mem connections conn.id then begin
-          let hit p = List.exists (fun e -> Bitset.mem failed e) (Slp.links p) in
-          let endpoint_down =
-            List.exists (fun v -> v = conn.src || v = conn.dst) failed_nodes
-          in
-          if endpoint_down then begin
-            (* the endpoint itself is down: no protection scheme can help *)
-            Slp.release net conn.active;
-            release_protection conn;
-            Hashtbl.remove connections conn.id;
-            incr dropped;
-            note_drop time conn;
-            counters.endpoint_losses <- counters.endpoint_losses + 1
-          end
-          else if hit conn.active then begin
-            match
-              Restore.restore ~obs ~req:(fresh_req ())
-                ~reprovision:config.reprovision_backup ctx config.policy
-                ~request:{ Types.src = conn.src; dst = conn.dst }
-                ~primary:conn.active ~protection:conn.protection
-            with
-            | Restore.Switched (working, prot) ->
-              conn.active <- working;
-              conn.protection <- prot;
-              counters.restorations_ok <- counters.restorations_ok + 1;
-              (match prot with
-               | Protect.Full _ -> incr backups_reprovisioned
-               | Protect.Unprotected | Protect.Segments _ -> ())
-            | Restore.Rerouted (working, prot) ->
-              conn.active <- working;
-              conn.protection <- prot;
-              counters.passive_reroutes_ok <- counters.passive_reroutes_ok + 1;
-              ignore (observe_load time)
-            | Restore.Dropped ->
-              Hashtbl.remove connections conn.id;
-              incr dropped;
-              note_drop time conn;
-              counters.restorations_failed <- counters.restorations_failed + 1;
-              ignore (observe_load time)
-          end
-          (* A hit on reserved (inactive) protection needs no action: the
-             wavelengths stay reserved and the path becomes usable again
-             after repair; intactness is re-checked at switch time. *)
-        end)
-      affected;
+    Book.fail ~obs ~reprovision:config.reprovision_backup ~nodes book ~links
+      ~req:fresh_req ~on:(fun c outcome ->
+        match outcome with
+        | Book.Endpoint_down ->
+          (* the endpoint itself is down: no protection scheme can help *)
+          incr dropped;
+          note_drop time c;
+          counters.endpoint_losses <- counters.endpoint_losses + 1
+        | Book.Switched -> (
+          counters.restorations_ok <- counters.restorations_ok + 1;
+          match c.protection with
+          | Protect.Full _ -> incr backups_reprovisioned
+          | Protect.Unprotected | Protect.Segments _ -> ())
+        | Book.Rerouted ->
+          counters.passive_reroutes_ok <- counters.passive_reroutes_ok + 1;
+          ignore (observe_load time)
+        | Book.Dropped ->
+          incr dropped;
+          note_drop time c;
+          counters.restorations_failed <- counters.restorations_failed + 1;
+          ignore (observe_load time));
     ignore (observe_load time)
   in
   let live_links () =
@@ -385,53 +337,47 @@ let run ?(obs = Obs.null) net0 config =
     | Premium | Standard -> config.policy
     | Best_effort -> Router.Unprotected
   in
-  let register ?(counted = true) time klass src dst primary protection =
-    if counted then begin
-      counters.admitted <- counters.admitted + 1;
-      counters.total_admitted_cost <-
-        counters.total_admitted_cost +. Slp.cost net primary
-        +. Protect.cost net protection;
-      backup_hops_reserved :=
-        !backup_hops_reserved + Protect.backup_hops protection
-    end;
+  (* A connection enters the book (scheduling its departure) before its
+     admission is accounted: a preempting premium request holds its
+     wavelengths while its victims re-route, and only then samples the
+     load. *)
+  let record time klass ~counted src dst admission =
     let id = !next_id in
     incr next_id;
     let hold = Workload.holding rng config.workload in
-    Hashtbl.replace connections id
-      {
-        id; src; dst; klass; counted;
-        t_admit = time;
-        t_depart = time +. hold;
-        active = primary;
-        protection;
-      };
     Event_queue.schedule q (time +. hold) (Departure id);
+    Book.add book ~id ~request:{ Types.src; dst } ~policy:(policy_for klass)
+      { klass; counted; t_admit = time; t_depart = time +. hold }
+      admission
+  in
+  let account time (c : held Book.conn) =
+    if c.data.counted then begin
+      counters.admitted <- counters.admitted + 1;
+      counters.total_admitted_cost <-
+        counters.total_admitted_cost +. Slp.cost net c.working
+        +. Protect.cost net c.protection;
+      backup_hops_reserved :=
+        !backup_hops_reserved + Protect.backup_hops c.protection
+    end;
     note_admission_load time
   in
-  let protection_of_solution sol =
-    match sol.Types.backup with
-    | Some b -> Protect.Full b
-    | None -> Protect.Unprotected
-  in
-  (* A blocked premium request may evict best-effort connections: release
+  (* A blocked premium request may evict best-effort connections: evict
      them one at a time (oldest first) and retry; evicted connections try
      an immediate re-route and are otherwise lost. *)
   let try_preempt src dst =
     let best_effort =
-      (* lint: ordered — sorted by connection id below *)
-      Hashtbl.fold
-        (fun _ c acc ->
-          match c.klass with Best_effort -> c :: acc | Premium | Standard -> acc)
-        connections []
-      |> List.sort (fun a b -> Int.compare a.id b.id)
+      List.filter
+        (fun (c : held Book.conn) ->
+          match c.data.klass with Best_effort -> true | Premium | Standard -> false)
+        (Book.conns book)
     in
     let rec evict evicted = function
       | [] ->
         (* no luck: give evicted connections their resources back *)
-        List.iter (fun c -> Slp.allocate net c.active) evicted;
+        List.iter (Book.reinstate book) evicted;
         None
       | victim :: rest -> (
-        Slp.release net victim.active;
+        Book.evict book victim;
         match
           Router.route ~obs ctx (policy_for Premium) ~source:src ~target:dst
         with
@@ -445,23 +391,18 @@ let run ?(obs = Obs.null) net0 config =
      steal its wavelengths back. *)
   let settle_evicted time evicted =
     List.iter
-      (fun victim ->
+      (fun (victim : held Book.conn) ->
         incr preemptions;
+        let request = victim.request in
         match
-          Router.route ~obs ctx Router.Unprotected ~source:victim.src
-            ~target:victim.dst
+          Router.route ~obs ctx victim.policy ~source:request.src
+            ~target:request.dst
         with
-        | Ok s
-          when (match
-                  Types.validate net { Types.src = victim.src; dst = victim.dst } s
-                with
-               | Ok () -> true
-               | Error _ -> false) ->
-          Types.allocate net s;
-          victim.active <- s.Types.primary;
-          victim.protection <- protection_of_solution s
+        | Ok s when Result.is_ok (Types.validate net request s) ->
+          ignore
+            (Book.add book ~id:victim.id ~request ~policy:victim.policy
+               victim.data (Book.Routed s))
         | _ ->
-          Hashtbl.remove connections victim.id;
           incr preempted_lost;
           incr dropped;
           note_drop time victim)
@@ -480,6 +421,12 @@ let run ?(obs = Obs.null) net0 config =
       counters.offered <- counters.offered + 1;
       bump cls_offered klass
     end;
+    let block () =
+      if counted then begin
+        counters.blocked <- counters.blocked + 1;
+        bump cls_blocked klass
+      end
+    in
     let partial_exposure =
       match (config.partial_protection, policy_for klass) with
       | Some _, Router.Unprotected -> None (* best effort stays unprotected *)
@@ -495,12 +442,9 @@ let run ?(obs = Obs.null) net0 config =
             m "t=%.2f admit %s %d->%d cost %.1f (partial)" time
               (class_name klass) src dst
               (Slp.cost net primary +. Protect.cost net protection));
-        register ~counted time klass src dst primary protection
-      | None ->
-        if counted then begin
-          counters.blocked <- counters.blocked + 1;
-          bump cls_blocked klass
-        end)
+        account time
+          (record time klass ~counted src dst (Book.Partial (primary, protection)))
+      | None -> block ())
     | None -> (
       match
         Router.admit_result ~obs ~req:(fresh_req ()) ctx (policy_for klass)
@@ -510,27 +454,17 @@ let run ?(obs = Obs.null) net0 config =
         Log.debug (fun m ->
             m "t=%.2f admit %s %d->%d cost %.1f" time (class_name klass) src dst
               (Types.total_cost net sol));
-        register ~counted time klass src dst sol.Types.primary
-          (protection_of_solution sol)
+        account time (record time klass ~counted src dst (Book.Admitted sol))
       | Error _ -> (
         match klass with
         | Premium -> (
           match try_preempt src dst with
           | Some (sol, evicted) ->
-            Types.allocate net sol;
+            let c = record time klass ~counted src dst (Book.Routed sol) in
             settle_evicted time evicted;
-            register ~counted time klass src dst sol.Types.primary
-              (protection_of_solution sol)
-          | None ->
-            if counted then begin
-              counters.blocked <- counters.blocked + 1;
-              bump cls_blocked klass
-            end)
-        | Standard | Best_effort ->
-          if counted then begin
-            counters.blocked <- counters.blocked + 1;
-            bump cls_blocked klass
-          end))
+            account time c
+          | None -> block ())
+        | Standard | Best_effort -> block ()))
   in
   (* Prime the event stream. *)
   Event_queue.schedule q (Workload.interarrival rng config.workload) Arrival;
@@ -595,14 +529,12 @@ let run ?(obs = Obs.null) net0 config =
         Obs.stop obs "sim.epoch" t0
       | Departure id -> (
         let t0 = Obs.start obs in
-        match Hashtbl.find_opt connections id with
-        | None -> () (* dropped earlier by a failure *)
-        | Some conn ->
-          Slp.release net conn.active;
-          release_protection conn;
-          Hashtbl.remove connections id;
+        match Book.find book id with
+        | None -> () (* dropped earlier by a failure or a preemption *)
+        | Some c ->
+          Book.release book c;
           incr completed;
-          note_carried time conn;
+          note_carried time c;
           prev_load := Net.network_load net;
           ignore (observe_load time);
           Obs.stop obs "sim.departure" t0)
@@ -612,7 +544,7 @@ let run ?(obs = Obs.null) net0 config =
          | [] -> ()
          | live ->
            counters.failures_injected <- counters.failures_injected + 1;
-           handle_failure time [ Rng.pick rng (Array.of_list live) ]);
+           handle_failure time ~nodes:[] [ Rng.pick rng (Array.of_list live) ]);
         reschedule time config.failure_rate Fail_link;
         Obs.stop obs "sim.fail_link" t0
       | Fail_link_at e ->
@@ -624,7 +556,7 @@ let run ?(obs = Obs.null) net0 config =
          | Some rates when rates.(e) > 0.0 ->
            if not (Net.is_failed net e) then begin
              counters.failures_injected <- counters.failures_injected + 1;
-             handle_failure time [ e ]
+             handle_failure time ~nodes:[] [ e ]
            end;
            Event_queue.schedule q
              (time +. Rng.exponential rng rates.(e))
@@ -648,7 +580,7 @@ let run ?(obs = Obs.null) net0 config =
          | _ ->
            incr node_failures;
            counters.failures_injected <- counters.failures_injected + 1;
-           handle_failure time ~failed_nodes:[ v ] incident);
+           handle_failure time ~nodes:[ v ] incident);
         reschedule time config.node_failure_rate Fail_node;
         Obs.stop obs "sim.fail_node" t0
       | Fail_srlg ->
@@ -671,7 +603,7 @@ let run ?(obs = Obs.null) net0 config =
                 incr srlg_failures;
                 counters.failures_injected <- counters.failures_injected + 1;
                 Obs.event obs ~a:g "journal.srlg.fail";
-                handle_failure time live
+                handle_failure time ~nodes:[] live
             end);
            reschedule time rate Fail_srlg);
         Obs.stop obs "sim.fail_srlg" t0
@@ -702,7 +634,7 @@ let run ?(obs = Obs.null) net0 config =
               incr regional_failures;
               counters.failures_injected <- counters.failures_injected + 1;
               Obs.event obs ~a:center ~b:radius "journal.region.fail";
-              handle_failure time ~failed_nodes:nodes links);
+              handle_failure time ~nodes links);
            reschedule time rate Fail_region);
         Obs.stop obs "sim.fail_region" t0
       | Repair_links links ->
@@ -718,10 +650,7 @@ let run ?(obs = Obs.null) net0 config =
   Metrics.finish load_trace ~time:config.duration;
   (* Connections still holding at the horizon carried their time so far;
      nothing was lost (summed in id order for float determinism). *)
-  (* lint: ordered — sorted by connection id below *)
-  Hashtbl.fold (fun _ c acc -> c :: acc) connections []
-  |> List.sort (fun a b -> Int.compare a.id b.id)
-  |> List.iter (fun c -> note_carried config.duration c);
+  List.iter (note_carried config.duration) (Book.conns book);
   let availability =
     let total = !carried_time +. !lost_time in
     if total > 0.0 then !carried_time /. total else 1.0

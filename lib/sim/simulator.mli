@@ -12,16 +12,18 @@
     ([regional]: every node within a hop radius of a random centre, and
     every incident fibre, fails atomically).
 
-    Restoration runs through {!Robust_routing.Restore} (probes
-    [restore.attempt] / [restore.ok] / [restore.dropped] and the
-    [journal.restore.*] events):
+    Live connections are held in one {!Robust_routing.Connections} book,
+    and restoration is its failure pass (probes [restore.attempt] /
+    [restore.ok] / [restore.dropped] and the [journal.restore.*] events),
+    over the connections in admission order:
 
+    - a connection with a failed endpoint is dropped (an endpoint loss);
     - a connection whose *active* path is hit switches to its reserved
       protection when intact — the full backup, or the covering segment
       detour under partial protection — else it releases everything and
-      attempts a fresh route (passive restoration, incremental through
-      the run's shared {!Rr_wdm.Aux_cache}); if that also fails the
-      connection drops;
+      attempts a fresh route under its own class's policy (passive
+      restoration, incremental through the run's shared
+      {!Rr_wdm.Aux_cache}); if that also fails the connection drops;
     - a connection whose reserved protection is hit keeps running; the
       reservation becomes usable again after repair;
     - with [reprovision_backup], a connection that consumed its
@@ -60,10 +62,10 @@ type config = {
   class_mix : (float * float) option;
       (** Service classes: [(premium, best_effort)] arrival fractions
           (remainder is standard).  Premium and standard requests are
-          protected; best-effort requests route unprotected and may be
-          *preempted* by blocked premium arrivals (they then try an
-          immediate re-route, else they are lost).  [None] (default) makes
-          every request standard. *)
+          protected; best-effort requests route unprotected (failure-time
+          re-routes too) and may be *preempted* by blocked premium
+          arrivals (they then try an immediate re-route, else they are
+          lost).  [None] (default) makes every request standard. *)
   link_fail_rates : float array option;
       (** independent per-link exponential failure rates (length =
           [n_links]; a rate of 0 hardens the link); composes with the

@@ -493,7 +493,7 @@ let prop_admit_matches_route_cost =
 (* Partial path protection and restoration                              *)
 
 module Protect = RR.Partial_protect
-module Restore = RR.Restore
+module Book = RR.Connections
 module Bitset = Rr_util.Bitset
 
 (* A spine 0-1-2-3 whose only exposed hop (e1) has a dedicated detour
@@ -572,66 +572,67 @@ let test_partial_admit_falls_back_to_full () =
        = Ok ())
   | Some _ -> Alcotest.fail "expected the full-pair fallback"
 
+(* Book one partially protected 0->3 connection, fail [links] and run
+   one restoration pass: the connection and its outcome, if it was hit. *)
+let restore_after net ~exposed links =
+  match Protect.admit ~exposure:(only exposed) (ctx net) ~source:0 ~target:3 with
+  | None -> Alcotest.fail "admission expected"
+  | Some (primary, protection) ->
+    let book = Book.create (ctx net) in
+    let c =
+      Book.add book ~id:0 ~request:{ Types.src = 0; dst = 3 }
+        ~policy:RR.Router.Cost_approx () (Book.Partial (primary, protection))
+    in
+    let cut = links c in
+    List.iter (Net.fail_link net) cut;
+    let outcome = ref None in
+    Book.fail book ~links:cut ~req:(fun () -> 0)
+      ~on:(fun c o -> outcome := Some (c, o));
+    (book, c, !outcome)
+
 let test_restore_splices_segment () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
-  | None -> Alcotest.fail "admission expected"
-  | Some (primary, protection) -> (
-    Net.fail_link net 1;
-    match
-      Restore.restore (ctx net) RR.Router.Cost_approx
-        ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
-    with
-    | Restore.Switched (working, after) ->
-      check Alcotest.(list int) "spliced working path" [ 0; 3; 4; 2 ]
-        (Slp.links working);
-      checkb "runs unprotected after the splice" true
-        (after = Protect.Unprotected);
-      (* dead hop e1 was released, detour absorbed into the working path *)
-      check Alcotest.int "books after splice" 4 (Net.total_in_use net)
-    | Restore.Rerouted _ -> Alcotest.fail "splice expected, not reroute"
-    | Restore.Dropped -> Alcotest.fail "splice expected, not drop")
+  match restore_after net ~exposed:[ 1 ] (fun _ -> [ 1 ]) with
+  | _, _, Some (c, Book.Switched) ->
+    check Alcotest.(list int) "spliced working path" [ 0; 3; 4; 2 ]
+      (Slp.links c.Book.working);
+    checkb "runs unprotected after the splice" true
+      (c.Book.protection = Protect.Unprotected);
+    (* dead hop e1 was released, detour absorbed into the working path *)
+    check Alcotest.int "books after splice" 4 (Net.total_in_use net)
+  | _, _, Some (_, Book.Rerouted) -> Alcotest.fail "splice expected, not reroute"
+  | _, _, Some (_, (Book.Dropped | Book.Endpoint_down)) | _, _, None ->
+    Alcotest.fail "splice expected, not drop"
 
 let test_restore_drops_when_residual_exhausted () =
   let net = seg_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
-  | None -> Alcotest.fail "admission expected"
-  | Some (primary, protection) -> (
-    (* Fell both the exposed hop and its detour: nothing covers the
-       failure and no residual 0->3 route remains. *)
-    Net.fail_link net 1;
-    Net.fail_link net 4;
-    match
-      Restore.restore (ctx net) RR.Router.Cost_approx
-        ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
-    with
-    | Restore.Dropped ->
-      check Alcotest.int "every wavelength returned" 0 (Net.total_in_use net)
-    | Restore.Switched _ | Restore.Rerouted _ ->
-      Alcotest.fail "drop expected: exposure and detour both dead")
+  (* Fell both the exposed hop and its detour: nothing covers the failure
+     and no residual 0->3 route remains. *)
+  match restore_after net ~exposed:[ 1 ] (fun _ -> [ 1; 4 ]) with
+  | book, _, Some (_, Book.Dropped) ->
+    check Alcotest.int "every wavelength returned" 0 (Net.total_in_use net);
+    check Alcotest.int "dropped from the book" 0 (Book.length book)
+  | _ -> Alcotest.fail "drop expected: exposure and detour both dead"
 
 let test_restore_switches_to_full_backup () =
   let net = trap_net () in
-  match Protect.admit ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
-  | None -> Alcotest.fail "admission expected"
-  | Some (primary, protection) -> (
-    let b =
-      match protection with
-      | Protect.Full b -> b
-      | _ -> Alcotest.fail "trap admits via the full-pair fallback"
-    in
-    (match Slp.links primary with
-     | e :: _ -> Net.fail_link net e
-     | [] -> Alcotest.fail "primary has hops");
-    match
-      Restore.restore (ctx net) RR.Router.Cost_approx
-        ~request:{ Types.src = 0; dst = 3 } ~primary ~protection
-    with
-    | Restore.Switched (working, _) ->
-      check Alcotest.(list int) "promoted the reserved backup"
-        (Slp.links b) (Slp.links working)
-    | Restore.Rerouted _ | Restore.Dropped ->
-      Alcotest.fail "intact backup must absorb the failure")
+  let primary_hop (c : unit Book.conn) =
+    match Slp.links c.working with
+    | e :: _ -> [ e ]
+    | [] -> Alcotest.fail "primary has hops"
+  in
+  let backup = ref None in
+  match
+    restore_after net ~exposed:[ 1 ] (fun c ->
+        (match c.protection with
+         | Protect.Full b -> backup := Some b
+         | _ -> Alcotest.fail "trap admits via the full-pair fallback");
+        primary_hop c)
+  with
+  | _, _, Some (c, Book.Switched) ->
+    check Alcotest.(list int) "promoted the reserved backup"
+      (Slp.links (Option.get !backup)) (Slp.links c.Book.working)
+  | _ -> Alcotest.fail "intact backup must absorb the failure"
 
 let suite =
   [

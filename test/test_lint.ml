@@ -9,6 +9,7 @@ let exe = Filename.concat ".." (Filename.concat "tools" "rr_lint/main.exe")
 let scratch = "lint_scratch"
 let scratch_clean = "lint_scratch_clean"
 let scratch_ipc = "lint_scratch_ipc"
+let scratch_book = "lint_scratch_book"
 
 (* The scratch layout: fixture source -> path inside [scratch].  The R2
    fixture lands on lib/graph/suurballe.ml — re-introducing the PR 4
@@ -75,7 +76,11 @@ let staged =
        "kernel.dijkstra\n";
      stage scratch_clean
        [ ("lint_fixtures/fixture_clean.ml", "lib/core/fixture_clean.ml") ];
-     stage scratch_ipc ipc_fixtures)
+     stage scratch_ipc ipc_fixtures;
+     stage scratch_book
+       (List.map
+          (fun dst -> ("lint_fixtures/fixture_r9_book.ml", dst))
+          [ "lib/sim/simulator.ml"; "lib/serve/core.ml"; "lib/core/connections.ml" ]))
 
 let run_lint args =
   Lazy.force staged;
@@ -210,6 +215,25 @@ let r8_lines =
      Array.copy) in (* lint: no-alloc *) Hotpath.snapshot";
   ]
 
+(* The same calls flagged in both connection owners, nowhere in the book. *)
+let r9_lines =
+  List.concat_map
+    (fun file ->
+      List.map
+        (fun (line, col, callee) ->
+          Printf.sprintf
+            "%s:%d:%d [R9] %s outside the connection book; record, release, \
+             evict or restore the connection through \
+             Robust_routing.Connections"
+            file line col callee)
+        [
+          (17, 22, "Semilightpath.release");
+          (18, 20, "Types.allocate");
+          (19, 20, "Types.release");
+          (20, 25, "Semilightpath.allocate");
+        ])
+    [ "lib/serve/core.ml"; "lib/sim/simulator.ml" ]
+
 let summary ~files ~typed ~untyped ~total ~baselined ~fresh =
   Printf.sprintf
     "rr_lint: %d file(s) (%d typed, %d untyped), %d finding(s): %d baselined, \
@@ -342,6 +366,16 @@ let test_r8_no_alloc () =
     ~code:1
     ~lines:(r8_lines @ [ ipc_summary ~total:3 ~baselined:0 ~fresh:3 ])
 
+(* R9: the owners of live connections touch no wavelength themselves;
+   the book may. *)
+let test_r9_one_book () =
+  check_run "r9"
+    (Printf.sprintf "--root %s lib" scratch_book)
+    ~code:1
+    ~lines:
+      (r9_lines
+      @ [ summary ~files:3 ~typed:3 ~untyped:0 ~total:8 ~baselined:0 ~fresh:8 ])
+
 let test_json_report () =
   check_run "json"
     (Printf.sprintf "--root %s --only R7 --json lib" scratch_ipc)
@@ -389,8 +423,8 @@ let test_misuse_exits_two () =
     [
       ("unknown flag", "--bogus lib");
       ("missing dir", Printf.sprintf "--root %s nosuchdir" scratch);
-      ("unknown rule", Printf.sprintf "--root %s --rules R9 lib" scratch);
-      ("unknown only rule", Printf.sprintf "--root %s --only R9 lib" scratch);
+      ("unknown rule", Printf.sprintf "--root %s --rules R10 lib" scratch);
+      ("unknown only rule", Printf.sprintf "--root %s --only R10 lib" scratch);
       ("no dirs", Printf.sprintf "--root %s" scratch);
       ("missing baseline", Printf.sprintf "--root %s --baseline nosuch.baseline lib" scratch);
     ]
@@ -414,6 +448,8 @@ let suite =
           test_r6_catches_ws_bug;
         Alcotest.test_case "R7 catches the slot leak" `Quick
           test_r7_catches_slot_leak;
+        Alcotest.test_case "R9 keeps resources in the book" `Quick
+          test_r9_one_book;
         Alcotest.test_case "R8 catches hot-path allocations" `Quick
           test_r8_no_alloc;
         Alcotest.test_case "--json report is exact" `Quick test_json_report;

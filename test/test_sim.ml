@@ -479,6 +479,36 @@ let test_sim_availability_accounting () =
     clean.availability;
   check Alcotest.(float 1e-9) "nothing lost" 0.0 clean.lost_time
 
+(* Observability never changes a decision: failure-heavy runs — per-link
+   rates, SRLG and regional cuts, node outages, re-provisioning, service
+   classes and batched admission, with partial protection and (since
+   partially protected premium requests never preempt) without it — give
+   the same report under [Obs.null] as under an enabled context. *)
+let test_sim_obs_invariant () =
+  let net, base = surv_config Router.Cost_approx in
+  let cfg =
+    {
+      base with
+      workload = Workload.make ~arrival_rate:4.0 ~mean_holding:12.0;
+      node_failure_rate = 0.01;
+      srlg = Option.map (fun (groups, _) -> (groups, 0.03)) base.srlg;
+      regional = Some (0.02, 1);
+      class_mix = Some (0.3, 0.4);
+      batching = Some (2.0, Robust_routing.Batch.Longest_first);
+    }
+  in
+  let same cfg =
+    let plain = Simulator.run ~obs:Rr_obs.Obs.null net cfg in
+    let traced = Simulator.run ~obs:(Rr_obs.Obs.create ()) net cfg in
+    checkb "reports equal" true (compare plain traced = 0);
+    checkb "restorations happened" true (plain.counters.restorations_ok > 0);
+    checkb "endpoint losses happened" true (plain.counters.endpoint_losses > 0);
+    plain
+  in
+  ignore (same cfg);
+  let full = same { cfg with partial_protection = None } in
+  checkb "preemption happened" true (full.preemptions > 0)
+
 let test_sim_partial_protection_reserves_less () =
   (* Against the same exposure, segment detours cost at most as many
      backup wavelength-links as full edge-disjoint pairs — and still
@@ -595,6 +625,8 @@ let suite =
           test_sim_partial_protection_reserves_less;
         Alcotest.test_case "failure config validation" `Quick
           test_sim_failure_config_validation;
+        Alcotest.test_case "obs does not change results" `Quick
+          test_sim_obs_invariant;
         qtest prop_sim_books_balance;
       ] );
   ]

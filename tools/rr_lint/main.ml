@@ -12,7 +12,8 @@ let usage () =
     \               [--verbose] DIR...\n\
      rules: R1 poly-compare  R2 hashtbl-order  R3 optional-threading\n\
     \       R4 probe-names   R5 hot-path-purity R6 worker-mutable-state\n\
-    \       R7 slot-escape   R8 no-alloc-paths  (list: --emit-rules)"
+    \       R7 slot-escape   R8 no-alloc-paths  R9 one-connection-book\n\
+    \       (list: --emit-rules)"
 
 let die msg =
   Printf.eprintf "rr_lint: %s\n" msg;
