@@ -523,14 +523,21 @@ let check_aux_cache inst =
              inst.Instance.target ))
     in
     (* A fresh graph against the cache's view of it: arcs and weights bit
-       for bit, then the Suurballe pair. *)
+       for bit, then the Suurballe pair, which must also be the full-tree
+       reference's on the view (arcs and cost bits). *)
     let compare_graph what s d fresh (view, en) =
+      let pair = Aux.disjoint_pair ~enabled:en view in
       if aux_projection fresh (fun _ -> true) <> aux_projection view en then
         fail "cached %s arcs/weights differ from fresh (request %d->%d)" what s d
-      else if
-        pair_projection fresh (Aux.disjoint_pair fresh)
-        <> pair_projection view (Aux.disjoint_pair ~enabled:en view)
+      else if pair_projection fresh (Aux.disjoint_pair fresh) <> pair_projection view pair
       then fail "cached %s Suurballe result differs from fresh (request %d->%d)" what s d
+      else if
+        let raw = Option.map (fun (p, w) -> (p, bits w)) in
+        raw pair
+        <> raw
+             (Rr_graph.Suurballe.edge_disjoint_pair_full_tree ~enabled:en view.Aux.graph
+                ~weight:view.Aux.weight ~source:view.Aux.source ~target:view.Aux.sink)
+      then fail "certified %s Suurballe pair differs from the full tree (request %d->%d)" what s d
       else None
     in
     let compare_once s d =

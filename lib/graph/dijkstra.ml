@@ -3,34 +3,41 @@ module Obs = Rr_obs.Obs
 
 (* The tree aliases the workspace that ran the search; [gen] detects reuse
    of the workspace by a later search so stale reads raise instead of
-   returning garbage. *)
+   returning garbage.  [early]: the search stopped when its target was
+   settled, so only the nodes it popped have final answers. *)
 type tree = {
   ws : Workspace.t;
   gen : int;
   n : int;
   source : int;
+  early : bool;
 }
 
 let check t =
   if Workspace.generation t.ws <> t.gen then
     invalid_arg "Dijkstra: tree is stale (its workspace ran another search)"
 
-let dist t v =
+let check_node what t v =
   check t;
-  if v < 0 || v >= t.n then invalid_arg "Dijkstra.dist: node out of range";
+  if v < 0 || v >= t.n then invalid_arg ("Dijkstra." ^ what ^ ": node out of range");
+  if t.early && not (Workspace.settled t.ws v) then
+    invalid_arg ("Dijkstra." ^ what ^ ": node not settled (the search stopped at its target)")
+
+let dist t v =
+  check_node "dist" t v;
   Workspace.dist t.ws v
 
 let pred_edge t v =
-  check t;
-  if v < 0 || v >= t.n then invalid_arg "Dijkstra.pred_edge: node out of range";
+  check_node "pred_edge" t v;
   Workspace.pred t.ws v
 
 let source t = t.source
 let workspace t = t.ws
 
 let dists t =
-  check t;
-  Array.init t.n (Workspace.dist t.ws)
+  Array.init t.n (fun v ->
+      check_node "dists" t v;
+      Workspace.dist t.ws v)
 
 let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
   let n = Digraph.n_nodes g in
@@ -70,7 +77,7 @@ let run ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source ~target =
   Obs.add obs "heap.pop" !pops;
   Obs.add obs "heap.insert" !inserts;
   Obs.stop obs "kernel.dijkstra" t0;
-  { ws; gen = Workspace.generation ws; n; source }
+  { ws; gen = Workspace.generation ws; n; source; early = !settled }
 
 let tree ?enabled ?obs ?workspace g ~weight ~source =
   run ?enabled ?obs ?workspace g ~weight ~source ~target:None

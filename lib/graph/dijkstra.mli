@@ -41,7 +41,15 @@ val run :
 (** Shortest-path search; settles every node, or early-exits once [target]
     is settled.  [enabled] filters edges (default: all).  Raises
     [Invalid_argument] on a negative weight encountered during the
-    search. *)
+    search.
+
+    A tree that early-exited answers only for the nodes the search
+    settled (popped), the target and its path included: {!dist},
+    {!pred_edge}, {!path_to} and {!dists} raise [Invalid_argument] for
+    any other node, whose distance the search never fixed (a queued
+    node's tentative distance, or [infinity] for a reachable node it
+    never reached).  A search that ran out of nodes before reaching its
+    target is complete. *)
 
 val tree :
   ?enabled:(int -> bool) ->
@@ -67,7 +75,8 @@ val workspace : tree -> Rr_util.Workspace.t
 
 val dists : tree -> float array
 (** Materialise all distances as a fresh array (safe to keep after the
-    workspace moves on). *)
+    workspace moves on).  Raises [Invalid_argument] on an early-exited
+    tree that left a node unsettled. *)
 
 val shortest_path :
   ?enabled:(int -> bool) ->

@@ -45,7 +45,8 @@ let cancel p1 p2 =
    materialising it.  Its arcs are the enabled edges off the first path,
    priced at their reduced cost under the first pass's distances, plus the
    zero-cost reversal of every first-path edge.  Predecessor codes: [2e]
-   is edge [e] taken forward, [2e + 1] its reversal. *)
+   is edge [e] taken forward, [2e + 1] its reversal.  Every relaxation is
+   tracked in the workspace's tie bank, for {!certified}. *)
 
 (* Relax [u]'s residual arcs in ascending edge-id order: its out-edges
    [edges.(i ..)], with the reversal of [back] (the first-path edge
@@ -55,9 +56,7 @@ let cancel p1 p2 =
 (* lint: no-alloc *)
 let rec scan_residual ws g enabled weight u back edges i inserts =
   if back >= 0 && (i = Array.length edges || back < edges.(i)) then
-    let added =
-      Workspace.relax ws (Digraph.src g back) (Workspace.dist ws u +. 0.0) ((2 * back) + 1)
-    in
+    let added = Workspace.relax_reversal ws (Digraph.src g back) u ((2 * back) + 1) in
     scan_residual ws g enabled weight u (-1) edges i (inserts + Bool.to_int added)
   else if i = Array.length edges then inserts
   else begin
@@ -67,9 +66,14 @@ let rec scan_residual ws g enabled weight u back edges i inserts =
     scan_residual ws g enabled weight u back edges (i + 1) (inserts + Bool.to_int added)
   end
 
+(* The residual node a pass-2 predecessor code leaves from. *)
+let pred_node g code =
+  let e = code lsr 1 in
+  if code land 1 = 0 then Digraph.src g e else Digraph.dst g e
+
 (* Shortest source-target path in the residual graph, as the edge ids of
    its arcs.  Reads the potentials and path slots [ws] holds, then runs a
-   fresh search on [ws]. *)
+   fresh search on [ws], which it leaves as the search stopped. *)
 let residual_path ~obs ~reused ws g ~enabled ~weight ~source ~target =
   let t0 = Obs.start obs in
   if reused then Obs.add obs "workspace.hit" 1 else Obs.add obs "workspace.miss" 1;
@@ -93,35 +97,116 @@ let residual_path ~obs ~reused ws g ~enabled ~weight ~source ~target =
     if v = source then acc
     else
       let a = Workspace.pred ws v in
-      let e = a lsr 1 in
-      back (if a land 1 = 0 then Digraph.src g e else Digraph.dst g e) (e :: acc)
+      back (pred_node g a) ((a lsr 1) :: acc)
   in
   if !settled then Some (back target []) else None
 
-let edge_disjoint_pair ?enabled ?(obs = Obs.null) ?workspace g ~weight ~source
-    ~target =
-  if source = target then invalid_arg "Suurballe: source = target";
-  let t0 = Obs.start obs in
-  let finish r =
-    Obs.stop obs "kernel.suurballe" t0;
-    r
+(* The certificate of a target-bounded run, read off the workspace as
+   the second pass left it ([d1] is the first pass's d(t)).
+
+   The target-bounded run differs from the full-tree one in two places.
+   Pass 1 stops when t is settled: its pops are a prefix of the full
+   pass's (same heap, same relax order), so the first path and d(v) of
+   every settled node are the full pass's.  Pass 2 then prices arcs
+   under π'(v) = min(d(v), d(t)) instead of π(v) = d(v).  Both are
+   feasible potentials (w(u,v) + π'(u) - π'(v) >= 0 in each case of
+   u, v settled or not), and both put π(s) = 0 and π(t) = d(t), so every
+   residual s-t path has the same exact reduced length under either.
+   The shortest residual paths are therefore the same set; only which
+   one the heap's tie-breaking returns may differ.  The certificate
+   proves the bounded pass's path P is the only one within [tol] of the
+   shortest, so the full pass returns it too.
+
+   Take a simple residual s-t path Q <> P of reduced length
+   <= key(t) + tol.  If every node of Q was popped, let y be the last
+   node of Q entered by an arc x -> y other than its tree arc; Q runs
+   along P from y, so y is on P and y <> s.  x was popped, so x -> y
+   was relaxed with a candidate <= d2(y) + tol: a near-tie at y, which
+   the tie bank records whether or not it improved y (an improvement
+   later undercut by at most [tol] is a near-tie of the later one).
+   Otherwise let z be Q's first unpopped node: its popped predecessor
+   queued it with a key <= key(t) + tol, and it is still in the heap.
+   So when no node of P but s saw a near-tie and the heap holds nothing
+   at or below key(t) + tol, P is the unique shortest residual path by a
+   margin of more than [tol].
+
+   Floats.  Write u = 2^-53 and M = key(t) + 2 d(t) + tol.  Along a
+   residual path of reduced length <= key(t) + tol, every distance and
+   reduced cost is <= M, every potential too (it is at most the path's
+   prefix length in original weights, <= key(t) + 2 d(t) + tol), and
+   w + π u at most 2M.  Each of the path's <= n arcs costs at most four
+   roundings of magnitude <= 2M (w + π u, then - π v, the clamp that
+   absorbs pass 1's own rounding of π, then the distance sum), so either
+   pass computes such a path's length within e = 8 n u M of its exact
+   value; a longer path's excess outgrows its own error.  The argument
+   above loses 4e in the bounded pass and 2e in the full one: it holds
+   when tol > 6e = 48 n u M.  tol = n 2^-40 (key(t) + 2 d(t)), that is
+   8192 n u (M - tol), exceeds that by a factor above 80 for every
+   n < 2^40; a larger graph is never certified.  Costs closer than tol
+   fall back, and with integer weights every near-tie is an exact tie. *)
+let certified ws g ~source ~target ~d1 =
+  let key = Workspace.dist ws target in
+  let n = Digraph.n_nodes g in
+  let tol = Float.ldexp (float_of_int n *. (key +. (2.0 *. d1))) (-40) in
+  let rec clean v =
+    v = source || ((not (Workspace.near_tie ws v tol)) && clean (pred_node g (Workspace.pred ws v)))
   in
-  let enabled = match enabled with None -> fun _ -> true | Some f -> f in
-  let t1 = Dijkstra.tree ~enabled ~obs ?workspace g ~weight ~source in
+  n < 1 lsl 40 && Workspace.heap_clear_above ws (key +. tol) && clean target
+
+type run = Pair of ((int list * int list) * float) | No_pair | Uncertified
+
+(* Both passes.  [bounded]: pass 1 stops at t and the result must carry
+   the certificate; otherwise pass 1 is a full tree and its potentials
+   uncapped — the textbook run, which certifies nothing. *)
+let two_pass ~bounded ~obs ?workspace g ~enabled ~weight ~source ~target =
+  let t1 =
+    Dijkstra.run ~enabled ~obs ?workspace g ~weight ~source
+      ~target:(if bounded then Some target else None)
+  in
   match Dijkstra.path_to g t1 target with
-  | None -> finish None
-  | Some p1 ->
+  | None -> No_pair
+  | Some p1 -> (
     (* Potentials and first-path slots outlive the second pass's reset,
        which makes [t1] stale. *)
     let ws = Dijkstra.workspace t1 in
-    Workspace.save_potentials ws (Digraph.n_nodes g);
+    let d1 = Dijkstra.dist t1 target in
+    Workspace.save_potentials ws (Digraph.n_nodes g) ~cap:(if bounded then d1 else infinity);
     List.iter (fun e -> Workspace.set_path_in ws (Digraph.dst g e) e) p1;
     match
       residual_path ~obs ~reused:(Option.is_some workspace) ws g ~enabled ~weight
         ~source ~target
     with
-    | None -> finish None
-    | Some p2 -> finish (Some (decompose g ~weight ~source ~target (cancel p1 p2)))
+    | None -> No_pair
+    | Some p2 ->
+      if bounded && not (certified ws g ~source ~target ~d1) then Uncertified
+      else Pair (decompose g ~weight ~source ~target (cancel p1 p2)))
+
+let with_span obs source target f =
+  if source = target then invalid_arg "Suurballe: source = target";
+  let t0 = Obs.start obs in
+  let r = f () in
+  Obs.stop obs "kernel.suurballe" t0;
+  r
+
+let full_tree ~obs ?workspace g ~enabled ~weight ~source ~target =
+  match two_pass ~bounded:false ~obs ?workspace g ~enabled ~weight ~source ~target with
+  | Pair p -> Some p
+  | No_pair | Uncertified -> None
+
+let edge_disjoint_pair ?(enabled = fun _ -> true) ?(obs = Obs.null) ?workspace g ~weight
+    ~source ~target =
+  with_span obs source target (fun () ->
+      match two_pass ~bounded:true ~obs ?workspace g ~enabled ~weight ~source ~target with
+      | Pair p -> Some p
+      | No_pair -> None
+      | Uncertified ->
+        Obs.add obs "suurballe.full_fallback" 1;
+        full_tree ~obs ?workspace g ~enabled ~weight ~source ~target)
+
+let edge_disjoint_pair_full_tree ?(enabled = fun _ -> true) ?(obs = Obs.null) ?workspace g
+    ~weight ~source ~target =
+  with_span obs source target (fun () ->
+      full_tree ~obs ?workspace g ~enabled ~weight ~source ~target)
 
 let edge_disjoint_pair_paper ?enabled ?obs ?workspace g ~weight ~source ~target =
   if source = target then invalid_arg "Suurballe: source = target";

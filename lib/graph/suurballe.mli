@@ -15,8 +15,8 @@
     over both paths.
 
     {!edge_disjoint_pair} never materialises the transformed graph of
-    the second pass.  Pass 1 is a full {!Dijkstra.tree}; its distances
-    become potentials and its path's arcs are recorded in the workspace
+    the second pass.  Pass 1's distances become potentials and its path's
+    arcs are recorded in the workspace
     ({!Rr_util.Workspace.save_potentials}).  Pass 2 then runs on the
     implicit residual graph over the original digraph: each popped node's
     enabled out-edges off the first path under reduced cost
@@ -27,6 +27,17 @@
     of the textbook construction.  The cancelled union of both paths is
     then decomposed in ascending edge-id order.
 
+    Both passes stop when the target is settled (the Suurballe–Tarjan
+    form: pass 1's potentials are [min (d v) (d t)]), and the result is
+    {e certified}: pass 2 records near-ties in the workspace's tie bank,
+    and the pair stands only when no node of the returned residual path
+    saw one and the heap holds nothing within the tolerance of the
+    target's key.  A certified pair is the one the full-tree run
+    ({!edge_disjoint_pair_full_tree}) returns, bit for bit; otherwise the
+    full-tree run is repeated and its pair returned.  The input decides
+    which path runs.  The argument and the float bound on the tolerance
+    are in [suurballe.ml] ([certified]).
+
     All entry points accept an optional {!Rr_util.Workspace.t}, passed
     through to the underlying searches so a long-lived caller reuses one
     set of scratch arrays; both passes of {!edge_disjoint_pair} run on
@@ -34,7 +45,9 @@
     stale afterwards.  [?obs] records a [kernel.suurballe] span around
     {!edge_disjoint_pair}, and each of its two passes a [kernel.dijkstra]
     span with [heap.pop] / [heap.insert] and [workspace.hit] /
-    [workspace.miss] counters, as {!Dijkstra.run} does.
+    [workspace.miss] counters, as {!Dijkstra.run} does.  A run whose
+    certificate fails counts [suurballe.full_fallback], and its counters
+    and spans add up both attempts.
 
     All entry points raise [Invalid_argument] when [source = target], and
     on the internal invariant violation of a flow decomposition that gets
@@ -50,6 +63,19 @@ val edge_disjoint_pair :
   target:int ->
   ((int list * int list) * float) option
 (** [None] when no two edge-disjoint paths exist. *)
+
+val edge_disjoint_pair_full_tree :
+  ?enabled:(int -> bool) ->
+  ?obs:Rr_obs.Obs.t ->
+  ?workspace:Rr_util.Workspace.t ->
+  Digraph.t ->
+  weight:float array ->
+  source:int ->
+  target:int ->
+  ((int list * int list) * float) option
+(** The textbook two-pass run: pass 1 is a full {!Dijkstra.tree} and its
+    distances the potentials.  What {!edge_disjoint_pair} falls back on,
+    and the reference it is tested against (arcs and cost bits). *)
 
 val edge_disjoint_pair_paper :
   ?enabled:(int -> bool) ->

@@ -20,6 +20,9 @@ type t = {
   mutable mark_gen : int;
   mutable pot : float array;
   mutable path_in : int array;
+  (* Per state, the least |candidate - current distance| over the tracked
+     relaxations that found it already set; current while its stamp is. *)
+  mutable gap : float array;
 }
 
 let grow_size needed current = max needed (max 16 (2 * current))
@@ -43,6 +46,7 @@ let create ?(capacity = 0) ?(generation = 1) () =
     mark_gen = 1;
     pot = Array.make 1 infinity;
     path_in = Array.make 1 (-1);
+    gap = Array.make 1 infinity;
   }
 
 let reset t n =
@@ -168,6 +172,17 @@ let relax_copy t i src p = relax_to t i t.dist_a.(src) p
 (* lint: no-alloc *)
 let relax_add t i src (x : float array) j p = relax_to t i (t.dist_a.(src) +. x.(j)) p
 
+(* [relax_to], first recording how close the candidate came to the
+   distance it competes with: the tie bank of a certified search. *)
+(* lint: no-alloc *)
+let[@inline] relax_tracked t i d p =
+  if t.stamp.(i) <> t.gen then t.gap.(i) <- infinity
+  else begin
+    let g = Float.abs (d -. t.dist_a.(i)) in
+    if g < t.gap.(i) then t.gap.(i) <- g
+  end;
+  relax_to t i d p
+
 (* lint: no-alloc *)
 let relax_reduced t u v weight e p =
   let pv = t.pot.(v) in
@@ -178,7 +193,16 @@ let relax_reduced t u v weight e p =
      negatives of float rounding (and -0.0) to +0.0, keeps a nan. *)
   let rc = weight.(e) +. t.pot.(u) -. pv in
   let rc = if rc > 0.0 || Float.is_nan rc then rc else 0.0 in
-  relax_to t v (t.dist_a.(u) +. rc) p
+  relax_tracked t v (t.dist_a.(u) +. rc) p
+
+(* lint: no-alloc *)
+let relax_reversal t i u p = relax_tracked t i t.dist_a.(u) p
+
+(* lint: no-alloc *)
+let near_tie t i tol = t.gap.(i) <= tol
+
+(* lint: no-alloc *)
+let heap_clear_above t bound = t.size = 0 || t.prio.(0) > bound
 
 (* lint: no-alloc *)
 let first_visit t v =
@@ -193,6 +217,9 @@ let heap_size t = t.size
 
 (* lint: no-alloc *)
 let queued t i = t.stamp.(i) = t.gen && t.pos.(i) >= 0
+
+(* lint: no-alloc *)
+let settled t i = t.stamp.(i) = t.gen && t.pos.(i) < 0
 
 (* lint: no-alloc *)
 let pop_min t =
@@ -222,15 +249,17 @@ let mark t i = t.mark_stamp.(i) <- t.mark_gen
 (* lint: no-alloc *)
 let marked t i = t.mark_stamp.(i) = t.mark_gen
 
-let save_potentials t n =
+let save_potentials t n ~cap:c =
   if n < 0 || n > t.cap then invalid_arg "Workspace.save_potentials: state count";
   if n > Array.length t.pot then begin
     let cap = grow_size n (Array.length t.pot) in
     t.pot <- Array.make cap infinity;
-    t.path_in <- Array.make cap (-1)
+    t.path_in <- Array.make cap (-1);
+    t.gap <- Array.make cap infinity
   end;
   for i = 0 to n - 1 do
-    t.pot.(i) <- dist t i;
+    let d = dist t i in
+    t.pot.(i) <- (if d < c then d else c);
     t.path_in.(i) <- -1
   done
 

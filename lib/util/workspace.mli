@@ -34,7 +34,11 @@
     {e potential} per state, copied from a finished search's distances by
     {!save_potentials}, and one {e path slot} per state naming a path arc
     that enters it.  Both survive {!reset}, so the second pass can run on
-    the same distance arrays while reading the first pass's results.
+    the same distance arrays while reading the first pass's results.  The
+    second pass's tracked relaxations ({!relax_reduced},
+    {!relax_reversal}) also fill a {e tie bank}: per state, the closest a
+    rival candidate came to its distance, which {!near_tie} reads to
+    certify that a returned path had no near-equal alternative.
 
     {b Not domain-safe.}  A workspace must only ever be used by one domain
     at a time; give each worker of a parallel batch its own workspace (see
@@ -103,6 +107,10 @@ val queued : t -> int -> bool
 (** Whether a state is queued (relaxed since the last {!reset} and not
     popped since). *)
 
+val settled : t -> int -> bool
+(** Whether a state has been popped since the last {!reset} and not
+    queued again since. *)
+
 val generation : t -> int
 (** Current generation, bumped by every {!reset}.  Search results that
     alias the workspace record it to detect staleness. *)
@@ -115,11 +123,15 @@ val mark : t -> int -> unit
 
 val marked : t -> int -> bool
 
-val save_potentials : t -> int -> unit
-(** [save_potentials ws n] copies the distances of states [0 .. n-1] (as
-    {!dist} reads them, [infinity] when unset) into the potential bank and
-    clears their path slots to [-1].  O(n).  Raises [Invalid_argument]
-    when [n] is negative or beyond the arrays {!reset} has sized. *)
+val save_potentials : t -> int -> cap:float -> unit
+(** [save_potentials ws n ~cap] copies the distances of states
+    [0 .. n-1] (as {!dist} reads them, [infinity] when unset), each
+    capped at [cap], into the potential bank and clears their path slots
+    to [-1].  [cap = infinity] keeps a finished search's distances; the
+    distance of the target where a search stopped gives the potentials
+    [min (d v) (d t)] of a target-bounded search.  O(n).  Raises
+    [Invalid_argument] when [n] is negative or beyond the arrays
+    {!reset} has sized. *)
 
 val relax_reduced : t -> int -> int -> float array -> int -> int -> bool
 (** [relax_reduced ws u v weight e p] relaxes arc [e : u -> v] out of the
@@ -127,7 +139,27 @@ val relax_reduced : t -> int -> int -> float array -> int -> int -> bool
     [dist u +. max (weight.(e) +. π u -. π v) 0], π being the potentials
     (the clamp absorbs rounding below zero).  A [v] of infinite potential
     is never relaxed, nor is [e] when it is [v]'s path slot (a path arc
-    is residual only reversed).  Allocation-free, like {!relax_add}. *)
+    is residual only reversed).  Allocation-free, like {!relax_add}.
+
+    Tracked: before relaxing, it records in the tie bank how close the
+    candidate came to [v]'s current distance (see {!near_tie}). *)
+
+val relax_reversal : t -> int -> int -> int -> bool
+(** [relax_reversal ws i u p] is [relax ws i (dist ws u) p] for the
+    popped state [u] — the zero-cost reversal of a path arc — tracked in
+    the tie bank like {!relax_reduced}.  Allocation-free. *)
+
+val near_tie : t -> int -> float -> bool
+(** [near_tie ws v tol]: whether a tracked relaxation of [v] since the
+    last {!reset} offered a candidate within [tol] of [v]'s distance at
+    that moment (the first candidate, which finds [v] unset, is not
+    compared).  Meaningless for a state first set by an untracked
+    {!relax}, such as the search's source.  The tie bank is sized by
+    {!save_potentials}; [v] must lie below its [n]. *)
+
+val heap_clear_above : t -> float -> bool
+(** [heap_clear_above ws bound]: whether every queued state's distance
+    exceeds [bound] (true on an empty heap). *)
 
 val set_path_in : t -> int -> int -> unit
 (** [set_path_in ws v e] records arc [e] as the path arc entering [v]

@@ -257,13 +257,13 @@ let sync ?(obs = Obs.null) t =
   for e = m - 1 downto 0 do
     let u = Network.used t.net e in
     let f = Network.is_failed t.net e in
-    let changed =
-      f <> t.seen_failed.(e)
-      || (u != t.seen_used.(e) && not (Bitset.equal u t.seen_used.(e)))
-    in
-    t.seen_used.(e) <- u;
-    t.seen_failed.(e) <- f;
-    if changed then begin
+    let seen = t.seen_used.(e) in
+    (* Store only what moved: an unchanged slot costs no write barrier. *)
+    let moved = u != seen in
+    if moved then t.seen_used.(e) <- u;
+    let flipped = f <> t.seen_failed.(e) in
+    if flipped then t.seen_failed.(e) <- f;
+    if flipped || (moved && not (Bitset.equal u seen)) then begin
       touched := e :: !touched;
       incr n_touched
     end

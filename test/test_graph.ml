@@ -13,23 +13,25 @@ let check = Alcotest.check
 let checkb = Alcotest.(check bool)
 let qtest = QCheck_alcotest.to_alcotest
 
-(* A random connected-ish weighted digraph for property tests. *)
-let random_graph seed =
+(* A random connected-ish weighted digraph for property tests: 2 to
+   [size] + 1 nodes; [draw] picks each weight (default: uniform in
+   [1, 10)). *)
+let random_graph ?(size = 10) ?(draw = fun rng -> 1.0 +. Rng.float rng 9.0) seed =
   let rng = Rng.create seed in
-  let n = 2 + Rng.int rng 10 in
+  let n = 2 + Rng.int rng size in
   let b = Digraph.builder n in
   let weights = ref [] in
   (* Random chain guarantees some reachability structure. *)
   for v = 0 to n - 2 do
     ignore (Digraph.add_edge b v (v + 1));
-    weights := (1.0 +. Rng.float rng 9.0) :: !weights
+    weights := draw rng :: !weights
   done;
   let extra = Rng.int rng (3 * n) in
   for _ = 1 to extra do
     let u = Rng.int rng n and v = Rng.int rng n in
     if u <> v then begin
       ignore (Digraph.add_edge b u v);
-      weights := (1.0 +. Rng.float rng 9.0) :: !weights
+      weights := draw rng :: !weights
     end
   done;
   let g = Digraph.freeze b in
@@ -132,6 +134,33 @@ let prop_dijkstra_path_cost_consistent =
             ok := false
       done;
       !ok)
+
+(* A search stopped at its target answers only for the nodes it popped:
+   here 1 (the target) and 0; 2 is still queued at a tentative 5, and 3
+   is reachable through 2 but never reached. *)
+let test_dijkstra_early_exit () =
+  let g = Digraph.of_edges 5 [ (0, 1); (0, 2); (2, 3) ] in
+  let w = [| 1.0; 5.0; 1.0 |] in
+  let t = Dijkstra.run g ~weight:w ~source:0 ~target:(Some 1) in
+  check Alcotest.(float 0.0) "settled target" 1.0 (Dijkstra.dist t 1);
+  check Alcotest.(option (list int)) "target path" (Some [ 0 ]) (Dijkstra.path_to g t 1);
+  check Alcotest.(float 0.0) "source" 0.0 (Dijkstra.dist t 0);
+  let unsettled what f =
+    Alcotest.check_raises what
+      (Invalid_argument
+         ("Dijkstra." ^ what ^ ": node not settled (the search stopped at its target)"))
+      (fun () -> ignore (f ()))
+  in
+  unsettled "dist" (fun () -> Dijkstra.dist t 2);
+  unsettled "pred_edge" (fun () -> Dijkstra.pred_edge t 2);
+  unsettled "dist" (fun () -> Dijkstra.dist t 3);
+  unsettled "dist" (fun () -> Dijkstra.path_to g t 3);
+  unsettled "dists" (fun () -> Dijkstra.dists t);
+  (* Out of nodes before the target: the tree is complete. *)
+  let t = Dijkstra.run g ~weight:w ~source:0 ~target:(Some 4) in
+  check Alcotest.(array (float 0.0)) "complete tree"
+    [| 0.0; 1.0; 5.0; 6.0; infinity |]
+    (Dijkstra.dists t)
 
 (* ------------------------------------------------------------------ *)
 (* Bellman-Ford                                                         *)
@@ -328,6 +357,75 @@ let test_suurballe_golden () =
       ("workspace shared with Layered.optimal", Rr_check.Pair_golden.Shared_with_layered);
     ]
 
+(* Integer weights in {0, 1, 2} put equal-cost pairs everywhere. *)
+let int_weight rng = float_of_int (Rng.int rng 3)
+let float_weight rng = Rng.float rng 3.0
+
+(* The pair as bits: arcs and the cost's bit pattern. *)
+let pair_bits = Option.map (fun (p, c) -> (p, Int64.bits_of_float c))
+
+let shared_ws = Rr_util.Workspace.create ()
+let tie_obs = Rr_obs.Obs.create ()
+let fallback_count () =
+  Rr_obs.Metrics.counter (Rr_obs.Obs.metrics tie_obs) "suurballe.full_fallback"
+
+(* [edge_disjoint_pair] (target-bounded, certified) against the full-tree
+   reference, with integer or float weights, with and without a filter,
+   on a fresh and on a shared workspace: how many of its runs fell back
+   to the full tree and how many pairs were certified, or [None] at the
+   first pair that differs. *)
+let certified_vs_full_tree seed =
+  List.fold_left
+    (fun acc (draw, filtered, workspace) ->
+      match acc with
+      | None -> None
+      | Some (fallbacks, certified) ->
+        let g, w = random_graph ~size:15 ~draw seed in
+        let target = Digraph.n_nodes g - 1 in
+        let enabled =
+          if filtered then begin
+            let rng = Rng.create (seed + 7000) in
+            let on = Array.init (Digraph.n_edges g) (fun _ -> Rng.uniform rng < 0.8) in
+            Some (fun e -> on.(e))
+          end
+          else None
+        in
+        let before = fallback_count () in
+        let got =
+          Suurballe.edge_disjoint_pair ?enabled ~obs:tie_obs ?workspace g ~weight:w ~source:0
+            ~target
+        in
+        let want = Suurballe.edge_disjoint_pair_full_tree ?enabled g ~weight:w ~source:0 ~target in
+        let fell_back = fallback_count () - before in
+        if pair_bits got <> pair_bits want then None
+        else
+          Some
+            ( fallbacks + fell_back,
+              certified + if Option.is_some got && fell_back = 0 then 1 else 0 ))
+    (Some (0, 0))
+    (List.concat_map
+       (fun draw ->
+         List.concat_map
+           (fun filtered -> [ (draw, filtered, None); (draw, filtered, Some shared_ws) ])
+           [ false; true ])
+       [ int_weight; float_weight ])
+
+let prop_certified_equals_full_tree =
+  QCheck.Test.make ~name:"certified pair = full-tree pair, bit for bit" ~count:300
+    QCheck.(int_bound 1_000_000) (fun seed -> Option.is_some (certified_vs_full_tree seed))
+
+let test_certificate_branches () =
+  let fallbacks, certified =
+    List.fold_left
+      (fun (f, c) seed ->
+        match certified_vs_full_tree seed with
+        | None -> Alcotest.failf "seed %d: certified pair differs from the full tree" seed
+        | Some (f', c') -> (f + f', c + c'))
+      (0, 0) (List.init 200 Fun.id)
+  in
+  checkb (Printf.sprintf "some runs fell back (%d)" fallbacks) true (fallbacks > 0);
+  checkb (Printf.sprintf "some pairs were certified (%d)" certified) true (certified > 0)
+
 let prop_node_disjoint_internally =
   QCheck.Test.make ~name:"node-disjoint pair shares no internal node" ~count:150
     QCheck.small_int (fun seed ->
@@ -401,6 +499,8 @@ let suite =
         Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
         Alcotest.test_case "filtered" `Quick test_dijkstra_filtered;
         Alcotest.test_case "rejects negative" `Quick test_dijkstra_negative_rejected;
+        Alcotest.test_case "early exit answers settled nodes only" `Quick
+          test_dijkstra_early_exit;
         qtest prop_dijkstra_vs_bellman_ford;
         qtest prop_dijkstra_path_cost_consistent;
       ] );
@@ -430,6 +530,8 @@ let suite =
         qtest prop_suurballe_matches_min_cost_flow;
         qtest prop_paper_variant_agrees;
         Alcotest.test_case "golden pairs on G'" `Quick test_suurballe_golden;
+        qtest prop_certified_equals_full_tree;
+        Alcotest.test_case "certificate: both branches run" `Quick test_certificate_branches;
         qtest prop_node_disjoint_internally;
       ] );
     ( "graph.flow",

@@ -280,8 +280,9 @@ let test_no_validator_rejects () =
 (* The probes one Cost_approx admission records — names, counter values
    and span counts — pinned so a kernel rewrite keeps /metrics meaning the
    same thing: the cache sync records its hit and [stage.aux_delta] span,
-   both Suurballe passes record a kernel.dijkstra span, and the heap and
-   workspace counters sum over every search. *)
+   both Suurballe passes record a kernel.dijkstra span (the pair is
+   certified, so neither pass reruns), and the heap and workspace
+   counters sum over every search. *)
 let test_admission_probe_set () =
   let net = perf_net ~preload:0.25 47 in
   let obs = Obs.create () in
@@ -300,8 +301,8 @@ let test_admission_probe_set () =
          (Metrics.items (Obs.metrics obs)))
   in
   Alcotest.(check string) "pooled"
-    "admit.ok=1 aux.cache.hit=1 conv.expansions=96 heap.insert=346 \
-     heap.pop=288 kernel.dijkstra#2 kernel.layered#2 kernel.suurballe#1 \
+    "admit.ok=1 aux.cache.hit=1 conv.expansions=96 heap.insert=326 \
+     heap.pop=255 kernel.dijkstra#2 kernel.layered#2 kernel.suurballe#1 \
      req.admit#1 stage.allocate#1 stage.aux_delta#1 stage.disjoint_pair#1 \
      stage.induce#1 stage.refine#1 stage.validate#1 workspace.hit=4"
     rendered
