@@ -1124,10 +1124,29 @@ let check_survive inst =
               None segs)
         None (Book.conns book)
     in
+    (* The flat availability words the layered kernels read must be
+       Λ(e) \ used(e) on every live link and empty on a failed one. *)
+    let words () =
+      let nw = Net.words_per_link net and words = Net.avail_words net in
+      let expect e =
+        if Net.is_failed net e then Bitset.create (Net.n_wavelengths net)
+        else Bitset.diff (Net.lambdas net e) (Net.used net e)
+      in
+      let stale e =
+        List.exists
+          (fun k -> words.((e * nw) + k) <> Bitset.word (expect e) k)
+          (List.init nw Fun.id)
+      in
+      match List.find_opt stale (List.init m Fun.id) with
+      | Some e ->
+        fail "link %d: availability words differ from Λ(e) \\ used(e)%s" e
+          (if Net.is_failed net e then " (failed: expected empty)" else "")
+      | None -> None
+    in
     (* Eq. 2 books balance: the live allocation state must be exactly what
        re-allocating every surviving path onto a fresh network produces
        (failure flags applied last, as in snapshot restore). *)
-    let books () =
+    let replay () =
       let fresh = Instance.network inst in
       match
         List.iter
@@ -1163,6 +1182,7 @@ let check_survive inst =
       | exception Invalid_argument msg ->
         fail "surviving state does not re-allocate on a fresh network: %s" msg
     in
+    let books () = match words () with Some _ as err -> err | None -> replay () in
     for _ = 1 to min 10 (2 * n) do
       admit_one ()
     done;

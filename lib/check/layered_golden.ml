@@ -20,8 +20,10 @@ let table rng w =
              else if Rng.bool rng then Some (float_of_int (Rng.int rng 4) *. 0.25)
              else None)))
 
+type kind = string * (Rng.t -> int -> int -> Conv.spec)
+
 (* The converter kinds, by name: each maps W and a node to its spec. *)
-let kinds =
+let kinds : kind list =
   let c = 0.3 in
   let mixed rng w v =
     match v mod 4 with

@@ -25,5 +25,18 @@ type mode =
       (** one workspace that also runs {!Rr_wdm.Auxiliary.disjoint_pair}
           on the request's [G'] before each query *)
 
+type kind = string * (Rr_util.Rng.t -> int -> int -> Rr_wdm.Conversion.spec)
+(** A converter kind by name: given a generator, [W] and a node, the
+    node's converter. *)
+
+val kinds : kind list
+(** The converter kinds listed above, in golden order. *)
+
+val scenario : int -> kind -> int -> Rr_wdm.Network.t * bool array * (int * int) list
+(** [scenario w kind seed]: one residual state of the golden — a fresh
+    network at [W = w] with preload and failed links, a per-link filter,
+    and six [(source, target)] requests.  Deterministic in its
+    arguments. *)
+
 val render : mode -> string
 (** The golden text: a comment header, then one line per query. *)

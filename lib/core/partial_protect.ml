@@ -2,6 +2,7 @@ module Bitset = Rr_util.Bitset
 module Net = Rr_wdm.Network
 module Slp = Rr_wdm.Semilightpath
 module Obs = Rr_obs.Obs
+module Workspace = Rr_util.Workspace
 
 type exposure = All | Only of Bitset.t
 
@@ -55,6 +56,14 @@ let splice primary seg =
   let after = List.filteri (fun i _ -> i > seg.seg_hi) primary.Slp.hops in
   { Slp.hops = before @ seg.seg_detour.Slp.hops @ after }
 
+let detour_hop_bound net ~link_enabled ~source ~target =
+  if source = target then max_int
+  else begin
+    let enabled e = link_enabled e && Net.has_available net e in
+    let d = Rr_graph.Traversal.bfs_dist ~enabled (Net.graph net) ~source in
+    if d.(target) < 0 then max_int else d.(target)
+  end
+
 let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
   let net = Router.network ctx and workspace = Router.workspace ctx in
   let request = { Types.src = source; dst = target } in
@@ -92,21 +101,62 @@ let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
         Some (primary, [])
       | runs ->
         Slp.allocate net primary;
-        let primary_links = Hashtbl.create 8 in
-        List.iter
-          (fun e -> Hashtbl.replace primary_links e ())
-          (Slp.links primary);
-        let link_enabled e = not (Hashtbl.mem primary_links e) in
+        (* The detour filter: links off the primary, as the workspace's
+           mark set (the layered searches reset only its distances). *)
+        Workspace.mark_reset workspace (Net.n_links net);
+        List.iter (Workspace.mark workspace) (Slp.links primary);
+        let link_enabled e = not (Workspace.marked workspace e) in
         let arr = Array.of_list primary.Slp.hops in
+        let ends (lo, hi) =
+          (Net.link_src net arr.(lo).Slp.edge, Net.link_dst net arr.(hi).Slp.edge)
+        in
+        (* The hop bound.  Segmentation pays only when the detours total
+           fewer hops than the full backup ([seg_hops < fh] below), so
+           before each detour search the plan is dropped once the hops
+           already reserved plus a lower bound for every remaining run
+           reach [fh].  Dropping it changes nothing but the work done:
+           - each run's bound is the BFS hop distance under exactly the
+             detour search's link filter (off the primary, passing
+             [has_available]), and every detour that search returns is a
+             walk over such links, so it has at least that many hops;
+           - reserving a detour only removes availability, so bounds
+             computed before the first reservation still hold after it;
+           - a degenerate run (s = t), which fails below anyway, and an
+             unreachable one count as unbounded (capped at [fh]);
+           - with no full pair ([fh] absent) [pays] holds, so no bound
+             applies;
+           - a dropped plan leaves like any failed one: it releases what
+             it reserved and takes the same [fallback ()], so network
+             state, the [survive.partial.segmented] / [full_fallback]
+             counters and the outcome are those of running it out. *)
+        let fh, bounds =
+          match full_backup_hops with
+          | None -> (max_int, List.map (fun _ -> 0) runs)
+          | Some fh ->
+            ( fh,
+              List.map
+                (fun run ->
+                  let s, t = ends run in
+                  min fh (detour_hop_bound net ~link_enabled ~source:s ~target:t))
+                runs )
+        in
+        (* Per run, the bound of it and every run after it. *)
+        let rests =
+          List.fold_right
+            (fun b acc -> (b + match acc with [] -> 0 | r :: _ -> r) :: acc)
+            bounds []
+        in
         (* Detours are reserved one at a time, so a later detour sees the
            earlier ones' wavelengths as residual state and cannot collide
            with them.  [Error acc] carries the detours already allocated
            when a later run fails, so they can be returned. *)
-        let rec reserve acc = function
+        let rec reserve acc reserved = function
           | [] -> Ok (List.rev acc)
-          | (lo, hi) :: rest -> (
-            let s = Net.link_src net arr.(lo).Slp.edge in
-            let t = Net.link_dst net arr.(hi).Slp.edge in
+          | (_, rest) :: _ when reserved + rest >= fh ->
+            Obs.add obs "survive.partial.hop_bound" 1;
+            Error acc
+          | (((lo, hi) as run), _) :: more -> (
+            let s, t = ends run in
             (* A node-revisiting primary can produce a degenerate run
                whose endpoints coincide; no detour exists for it. *)
             if s = t then Error acc
@@ -126,11 +176,11 @@ let admit ?(obs = Obs.null) ~exposure ctx ~source ~target =
                 with
                 | Ok () ->
                   Slp.allocate net d;
-                  reserve (seg :: acc) rest
+                  reserve (seg :: acc) (reserved + Slp.length d) more
                 | Error _ -> Error acc)
               | Some _ | None -> Error acc)
         in
-        (match reserve [] runs with
+        (match reserve [] 0 (List.combine runs rests) with
          | Ok segs -> Some (primary, segs)
          | Error acc ->
            List.iter (Slp.release net) (paths (Segments acc) @ [ primary ]);

@@ -11,8 +11,15 @@
     segmentation does not pay (strictly fewer backup wavelength-links) or
     cannot cover every exposed run.
 
+    Before each detour search a hop bound checks that the plan can still
+    pay: when the hops already reserved plus a BFS lower bound for every
+    remaining exposed run reach the full backup's hop count, the plan is
+    dropped without searching (see {!detour_hop_bound}); the outcome is
+    the one running it out would give.
+
     Probes: [survive.partial.segmented] / [survive.partial.full_fallback]
-    count which branch admitted; [survive.splice] counts failure-time
+    count which branch admitted; [survive.partial.hop_bound] counts plans
+    the hop bound dropped (each also falls back); [survive.splice] counts failure-time
     segment switches ({!restore_segments}), mirrored by the
     [journal.survive.splice] event (a=source, b=target). *)
 
@@ -51,6 +58,15 @@ val cost : Rr_wdm.Network.t -> protection -> float
 val exposure_of_rates : float array -> exposure
 (** [Only] of the links with a positive failure rate ([All] if every rate
     is positive). *)
+
+val detour_hop_bound :
+  Rr_wdm.Network.t -> link_enabled:(int -> bool) -> source:int -> target:int -> int
+(** [detour_hop_bound net ~link_enabled ~source ~target]: the BFS hop
+    distance from [source] to [target] over the links that pass
+    [link_enabled] and {!Rr_wdm.Network.has_available} — a lower bound on
+    the hops of any semilightpath {!Rr_wdm.Layered.optimal} can return
+    under the same filter.  [max_int] when [target] is unreachable or
+    equals [source]. *)
 
 val admit :
   ?obs:Rr_obs.Obs.t ->

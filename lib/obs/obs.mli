@@ -96,7 +96,10 @@
                    the failure-exposed sub-segments),
                    [survive.partial.full_fallback] (segmentation did not
                    pay or found no detours; fell back to a full
-                   edge-disjoint backup), [survive.splice] (a detour was
+                   edge-disjoint backup), [survive.partial.hop_bound]
+                   (a segment plan dropped before its detour searches:
+                   a hop lower bound showed it could not pay; it also
+                   falls back), [survive.splice] (a detour was
                    spliced into the working path after a segment
                    failure)
     - [workspace.hit] / [workspace.miss]  scratch-state pooling counters

@@ -2,11 +2,11 @@ let bits_per_word = 62
 
 type t = { width : int; words : int array }
 
-let nwords width = (width + bits_per_word - 1) / bits_per_word
+let n_words width = max 1 ((width + bits_per_word - 1) / bits_per_word)
 
 let create width =
   if width < 0 then invalid_arg "Bitset.create";
-  { width; words = Array.make (max 1 (nwords width)) 0 }
+  { width; words = Array.make (n_words width) 0 }
 
 let width t = t.width
 
@@ -60,42 +60,69 @@ let popcount x =
   let x = x + (x lsr 16) in
   (x + (x lsr 32)) land 0x7F
 
-(* lint: no-alloc *)
-let rec count_words words i acc =
-  if i = Array.length words then acc else count_words words (i + 1) (acc + popcount words.(i))
+(* The word-level operations read a set as [n] words stored from
+   [words.(off)]: a set's own array, or one link's slice of a flat array
+   (the network's availability words). *)
 
 (* lint: no-alloc *)
-let cardinal t = count_words t.words 0 0
+let rec count_words words i stop acc =
+  if i = stop then acc else count_words words (i + 1) stop (acc + popcount words.(i))
+
+(* lint: no-alloc *)
+let cardinal t = count_words t.words 0 (Array.length t.words) 0
+
+(* lint: no-alloc *)
+let cardinal_words words off ~n = count_words words off (off + n) 0
 
 let word_mask = (1 lsl bits_per_word) - 1
 
 (* lint: no-alloc *)
-let word b k = if k >= 0 && k < Array.length b.words then b.words.(k) else 0
+let word_in words off n k = if k >= 0 && k < n then words.(off + k) else 0
 
-(* Word [k] of [b] shifted down by [d] elements (up for negative [d]):
-   bit j of the result is element [62k + j + d] of [b]. *)
 (* lint: no-alloc *)
-let shifted_word b k d =
+let word b k = word_in b.words 0 (Array.length b.words) k
+
+(* Here the divisor is a known constant, which the compiler turns into a
+   multiplication; callers in other modules would pay a division. *)
+(* lint: no-alloc *)
+let word_of i = i / bits_per_word
+
+(* lint: no-alloc *)
+let bit_of i = 1 lsl (i mod bits_per_word)
+
+(* Word [k] of a set shifted down by [d] elements (up for negative [d]):
+   bit j of the result is element [62k + j + d] of the set. *)
+(* lint: no-alloc *)
+let shifted_word words off n k d =
   if d >= 0 then begin
     let q = d / bits_per_word and r = d mod bits_per_word in
-    if r = 0 then word b (k + q)
-    else (word b (k + q) lsr r) lor ((word b (k + q + 1) lsl (bits_per_word - r)) land word_mask)
+    if r = 0 then word_in words off n (k + q)
+    else
+      (word_in words off n (k + q) lsr r)
+      lor ((word_in words off n (k + q + 1) lsl (bits_per_word - r)) land word_mask)
   end
   else begin
     let q = -d / bits_per_word and r = -d mod bits_per_word in
-    if r = 0 then word b (k - q)
-    else ((word b (k - q) lsl r) land word_mask) lor (word b (k - q - 1) lsr (bits_per_word - r))
+    if r = 0 then word_in words off n (k - q)
+    else
+      ((word_in words off n (k - q) lsl r) land word_mask)
+      lor (word_in words off n (k - q - 1) lsr (bits_per_word - r))
   end
 
 (* lint: no-alloc *)
-let rec count_shifted a b d k acc =
-  if k = Array.length a.words then acc
-  else count_shifted a b d (k + 1) (acc + popcount (a.words.(k) land shifted_word b k d))
+let rec count_shifted a oa b ob n d k acc =
+  if k = n then acc
+  else
+    count_shifted a oa b ob n d (k + 1)
+      (acc + popcount (a.(oa + k) land shifted_word b ob n k d))
 
 (* lint: no-alloc *)
 let count_inter_shifted a b d =
   if a.width <> b.width then invalid_arg "Bitset.count_inter_shifted: width mismatch";
-  count_shifted a b d 0 0
+  count_shifted a.words 0 b.words 0 (Array.length a.words) d 0 0
+
+(* lint: no-alloc *)
+let count_inter_shifted_words a oa b ob ~n d = count_shifted a oa b ob n d 0 0
 
 let of_list w l = List.fold_left add (create w) l
 

@@ -172,6 +172,19 @@ let relax_copy t i src p = relax_to t i t.dist_a.(src) p
 (* lint: no-alloc *)
 let relax_add t i src (x : float array) j p = relax_to t i (t.dist_a.(src) +. x.(j)) p
 
+(* lint: no-alloc *)
+let rec relax_row_from t src (qs : int array) (cs : float array) base stride p i n =
+  if i = Array.length qs then n
+  else begin
+    let n =
+      if relax_to t (base + (stride * qs.(i))) (t.dist_a.(src) +. cs.(i)) p then n + 1 else n
+    in
+    relax_row_from t src qs cs base stride p (i + 1) n
+  end
+
+(* lint: no-alloc *)
+let relax_row t src qs cs ~base ~stride p = relax_row_from t src qs cs base stride p 0 0
+
 (* [relax_to], first recording how close the candidate came to the
    distance it competes with: the tie bank of a certified search. *)
 (* lint: no-alloc *)

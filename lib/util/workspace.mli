@@ -89,6 +89,15 @@ val relax_add : t -> int -> int -> float array -> int -> int -> bool
     list.  The candidate distance never leaves an unboxed register: the
     per-arc step of a search allocates nothing. *)
 
+val relax_row :
+  t -> int -> int array -> float array -> base:int -> stride:int -> int -> int
+(** [relax_row ws src qs cs ~base ~stride p] is {!relax_add}
+    [ws (base + stride * qs.(i)) src cs i p] for every [i] in ascending
+    order — a whole row of arcs out of one popped state, such as the
+    conversion arcs of a layered search — and returns how many of them
+    succeeded.  The same relaxations, in the same order, as the calls one
+    by one, in one call.  Allocation-free. *)
+
 val first_visit : t -> int -> bool
 (** [first_visit ws v]: whether this is the first call for node [v] since
     the last {!reset}; the call marks [v] visited.  Node ids share the

@@ -49,22 +49,28 @@ let last_stats t = t.stats
    [+0.0], and [+0.0 +. -0.0 = +0.0]), so the identity additions change no
    bits and only the allowed non-identity costs, in loop order, matter.
 
+   The two sets are read in place as word slices ([a] from [oa], [b] from
+   [ob], {!Network.words_per_link} words each): the links' availability
+   words during a sync, so no set is built per conversion arc.
+
    - [Range (r, c)]: every allowed non-identity pair costs the same [c],
      so the sum is [c] added [k_c] times from [0.0]; [k_c] and the identity
      count are word-parallel shifted-intersection counts.
    - [Full c]: the closed form, on the same counts.
    - [Table]: per available in-wavelength, its precomputed successors in
      ascending order — the contributing subsequence of the dense loop. *)
-let range_mean avail_in avail_out r c =
-  let r = min r (Bitset.width avail_in - 1) in
+let mem words off l = words.(off + Bitset.word_of l) land Bitset.bit_of l <> 0
+
+let range_mean ~n ~w a oa b ob r c =
+  let r = min r (w - 1) in
   let k_c = ref 0 in
   for d = 1 to r do
     k_c :=
       !k_c
-      + Bitset.count_inter_shifted avail_in avail_out d
-      + Bitset.count_inter_shifted avail_in avail_out (-d)
+      + Bitset.count_inter_shifted_words a oa b ob ~n d
+      + Bitset.count_inter_shifted_words a oa b ob ~n (-d)
   done;
-  let k = Bitset.count_inter_shifted avail_in avail_out 0 + !k_c in
+  let k = Bitset.count_inter_shifted_words a oa b ob ~n 0 + !k_c in
   if k = 0 then None
   else begin
     let sum = ref 0.0 in
@@ -74,36 +80,41 @@ let range_mean avail_in avail_out r c =
     Some (!sum /. float_of_int k)
   end
 
-let table_mean net v avail_in avail_out =
+let table_mean net v ~w a oa b ob =
   let k = ref 0 and sum = ref 0.0 in
-  for la = 0 to Bitset.width avail_in - 1 do
-    if Bitset.mem avail_in la then begin
+  for la = 0 to w - 1 do
+    if mem a oa la then begin
       let qs, cs = Network.conv_successors net v la in
       for i = 0 to Array.length qs - 1 do
-        if Bitset.mem avail_out qs.(i) then begin
+        if mem b ob qs.(i) then begin
           incr k;
           sum := !sum +. cs.(i)
         end
       done;
-      if Bitset.mem avail_out la then incr k
+      if mem b ob la then incr k
     end
   done;
   if !k = 0 then None else Some (!sum /. float_of_int !k)
 
-let mean_conversion net v avail_in avail_out =
+let mean_words net v a oa b ob =
+  let n = Network.words_per_link net and w = Network.n_wavelengths net in
   match Network.converter net v with
   | Conversion.No_conversion ->
-    if Bitset.count_inter_shifted avail_in avail_out 0 = 0 then None else Some 0.0
+    if Bitset.count_inter_shifted_words a oa b ob ~n 0 = 0 then None else Some 0.0
   | Conversion.Full c ->
-    let a = Bitset.cardinal avail_in and b = Bitset.cardinal avail_out in
-    if a = 0 || b = 0 then None
+    let ka = Bitset.cardinal_words a oa ~n and kb = Bitset.cardinal_words b ob ~n in
+    if ka = 0 || kb = 0 then None
     else begin
-      let common = Bitset.count_inter_shifted avail_in avail_out 0 in
-      let k = float_of_int (a * b) in
+      let common = Bitset.count_inter_shifted_words a oa b ob ~n 0 in
+      let k = float_of_int (ka * kb) in
       Some (c *. (k -. float_of_int common) /. k)
     end
-  | Conversion.Range (r, c) -> range_mean avail_in avail_out r c
-  | Conversion.Table _ -> table_mean net v avail_in avail_out
+  | Conversion.Range (r, c) -> range_mean ~n ~w a oa b ob r c
+  | Conversion.Table _ -> table_mean net v ~w a oa b ob
+
+let mean_conversion net v avail_in avail_out =
+  let words s = Array.init (Network.words_per_link net) (Bitset.word s) in
+  mean_words net v (words avail_in) 0 (words avail_out) 0
 
 let gc_weight t e =
   let net = t.net in
@@ -120,9 +131,8 @@ let recompute_conv t recomputed a =
     let e_in = t.a_in.(a) and e_out = t.a_out.(a) in
     if t.link_ok.(e_in) && t.link_ok.(e_out) then begin
       let v = match t.kind.(a) with Auxiliary.Convert v -> v | _ -> assert false in
-      match
-        mean_conversion t.net v (Network.available t.net e_in) (Network.available t.net e_out)
-      with
+      let words = Network.avail_words t.net and n = Network.words_per_link t.net in
+      match mean_words t.net v words (e_in * n) words (e_out * n) with
       | Some w ->
         t.w_prime.(a) <- w;
         t.w_rc.(a) <- w;
@@ -181,6 +191,10 @@ let create net =
   let src_tap = Array.make m (-1) in
   let snk_tap = Array.make m (-1) in
   let conv_lists = Array.make m [] in
+  let nw = Network.words_per_link net in
+  let lambda_words =
+    Array.init (m * nw) (fun i -> Bitset.word (Network.lambdas net (i / nw)) (i mod nw))
+  in
   (* Same group order as the fresh constructors (see Auxiliary.build). *)
   for e = 0 to m - 1 do
     trav_arc.(e) <- add (out_node e) (in_node e) (Auxiliary.Traverse e) e e
@@ -195,7 +209,7 @@ let create net =
               (* Structural feasibility over the full wavelength sets: a
                  superset of feasibility under any residual state (removing
                  wavelengths can only remove allowed pairs). *)
-              match mean_conversion net v (Network.lambdas net e) (Network.lambdas net e') with
+              match mean_words net v lambda_words (e * nw) lambda_words (e' * nw) with
               | Some _ ->
                 let a = add (in_node e) (out_node e') (Auxiliary.Convert v) e e' in
                 conv_lists.(e) <- a :: conv_lists.(e);

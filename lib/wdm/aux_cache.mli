@@ -73,13 +73,15 @@ val sync : ?obs:Rr_obs.Obs.t -> t -> sync_stats
 
     {b Cost.}  O(m) for the fingerprint scan, plus per changed link an
     O(W) traversal refresh and one {!mean_conversion} per incident
-    conversion arc, each on two freshly computed residual sets.  For
+    conversion arc, read in place from the two links' availability words
+    ({!Network.avail_words}), so no residual set is built per arc.  For
     [Range (r, _)] converters the mean costs [2r + 1] shifted-intersection
     counts of ⌈W/62⌉ words each and no allocation beyond its result: the
     conversion-arc refresh, once most of a sync, no longer dominates it.
     (Caching the residual sets per link instead measured slower and
     raised peak memory: every cached set is promoted out of the minor
-    heap.) *)
+    heap.  A per-sync memo, cleared when the sync ends, kept peak memory
+    flat but still measured slower end to end.) *)
 
 val mean_conversion :
   Network.t -> int -> Rr_util.Bitset.t -> Rr_util.Bitset.t -> float option
@@ -87,8 +89,10 @@ val mean_conversion :
     conversion arc at node [v] between links with residual sets
     [avail_in] and [avail_out], bit for bit {!Auxiliary.mean_conversion}
     (the dense oracle).  [No_conversion], [Full] and [Range] converters
-    take word-parallel counts ({!Rr_util.Bitset.count_inter_shifted});
-    [Table] converters walk the precomputed successor lists. *)
+    take word-parallel counts
+    ({!Rr_util.Bitset.count_inter_shifted_words}); [Table] converters
+    walk the precomputed successor lists.  {!sync} runs the same code on
+    the links' availability words in place. *)
 
 val last_stats : t -> sync_stats
 (** Stats of the most recent {!sync} (zeros before the first). *)

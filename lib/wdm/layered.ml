@@ -1,5 +1,4 @@
 module Bitset = Rr_util.Bitset
-module Digraph = Rr_graph.Digraph
 module Workspace = Rr_util.Workspace
 module Obs = Rr_obs.Obs
 
@@ -29,15 +28,89 @@ module Obs = Rr_obs.Obs
                ([optimal_bounded]); x = own λ means no conversion
    The workspace's unset value -1 doubles as "no predecessor".
 
-   Every relaxation is a Workspace.relax_copy / relax_add from the popped
-   state, so no distance is read out or boxed, and the loops over links
-   and wavelengths take no closure.  Relax order is the order of the
-   sets they walk: out-links as the graph stores them, wavelengths
-   ascending, the identity arc before the conversion arcs. *)
+   Every relaxation is a Workspace.relax_copy / relax_add / relax_row
+   from the popped state, so no distance is read out or boxed, and the
+   loops over links and wavelengths take no closure.  Relax order is the
+   order of the sets they walk: out-links as the graph stores them,
+   wavelengths ascending, the identity arc before the conversion arcs.
+
+   Both searches address states as [stride * x + off]: a traversal arc
+   lands in the arrival block of its head node, a seed or conversion arc
+   in the departure row of one node, so one helper serves both state
+   packings.  Availability is one load and a mask of the network's flat
+   words ({!Network.avail_words}), fetched with the other per-link arrays
+   once per search. *)
 
 let p_start = -2
 let p_traverse e = 2 * e
 let p_convert x = (2 * x) + 1
+
+(* One search's scratch and filter, and the network's flat per-link
+   arrays, fetched once per search. *)
+type search = {
+  ws : Workspace.t;
+  enabled : int -> bool;     (* the link filter *)
+  out : int array array;     (* per node: out-link ids *)
+  dst : int array;           (* per link: head node *)
+  rows : float array array;  (* per link: weight per wavelength *)
+  words : int array;         (* per link: [nw] availability words *)
+  nw : int;
+}
+
+let search ws link_enabled net =
+  {
+    ws;
+    enabled = link_enabled;
+    out = Network.out_links net;
+    dst = Network.link_dsts net;
+    rows = Network.weight_rows net;
+    words = Network.avail_words net;
+    nw = Network.words_per_link net;
+  }
+
+(* The traversal arcs out of departure state [state] on wavelength [l],
+   whose bit is [lb] in word [lw] of a link's availability: every link of
+   [out] that passes the filter and is free on [l], relaxed to arrival
+   state [stride * dst + off] in out-link order.  Returns [n] plus the
+   successful relaxations. *)
+(* lint: no-alloc *)
+let rec relax_links sr (out : int array) lw lb l stride off state i n =
+  if i = Array.length out then n
+  else begin
+    let e = out.(i) in
+    let n =
+      if
+        sr.enabled e
+        && sr.words.((e * sr.nw) + lw) land lb <> 0
+        && Workspace.relax_add sr.ws ((stride * sr.dst.(e)) + off) state sr.rows.(e) l
+             (p_traverse e)
+      then n + 1
+      else n
+    in
+    relax_links sr out lw lb l stride off state (i + 1) n
+  end
+
+(* Seed departure state [stride * λ + off] for every set bit of word [x],
+   bit j standing for λ = l0 + j: the set bits in ascending order, as a
+   scan over λ visits them. *)
+(* lint: no-alloc *)
+let rec seed_bits ws x l0 stride off state n =
+  if x = 0 then n
+  else begin
+    let n =
+      if x land 1 <> 0 && Workspace.relax_copy ws ((stride * l0) + off) state p_start then n + 1
+      else n
+    in
+    seed_bits ws (x lsr 1) (l0 + 1) stride off state n
+  end
+
+(* [seed_bits] over every availability word of link [e], from word [j]. *)
+(* lint: no-alloc *)
+let rec seed_link sr e j stride off state n =
+  if j = sr.nw then n
+  else
+    seed_link sr e (j + 1) stride off state
+      (seed_bits sr.ws sr.words.((e * sr.nw) + j) (j * Bitset.bits_per_word) stride off state n)
 
 let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
     ~source ~target =
@@ -64,7 +137,7 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
   Workspace.reset ws n_states;
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
   if Workspace.relax ws super_source 0.0 p_start then incr inserts;
-  let graph = Network.graph net in
+  let sr = search ws link_enabled net in
   let settled_sink = ref false in
   while (not !settled_sink) && Workspace.heap_size ws > 0 do
     let state = Workspace.pop_min ws in
@@ -73,33 +146,19 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
     else if state = super_source then begin
       (* Leave the source on any available wavelength of any outgoing
          link; the traversal arc itself is taken below from dep(s, λ). *)
-      let out = Digraph.out_edges graph source in
+      let out = sr.out.(source) in
       for i = 0 to Array.length out - 1 do
         let e = out.(i) in
-        if link_enabled e then
-          for l = 0 to w - 1 do
-            if
-              Network.is_available net e l
-              && Workspace.relax_copy ws (dep source l) state p_start
-            then incr inserts
-          done
+        if link_enabled e then inserts := seed_link sr e 0 2 (dep source 0) state !inserts
       done
     end
     else if state land 1 = 1 then begin
       (* Departure state: traversal arcs only. *)
       let s2 = state asr 1 in
       let v = s2 / w and l = s2 mod w in
-      let out = Digraph.out_edges graph v in
-      for i = 0 to Array.length out - 1 do
-        let e = out.(i) in
-        if
-          link_enabled e
-          && Network.is_available net e l
-          && Workspace.relax_add ws
-               (arr (Network.link_dst net e) l)
-               state (Network.weight_row net e) l (p_traverse e)
-        then incr inserts
-      done
+      inserts :=
+        relax_links sr sr.out.(v) (Bitset.word_of l) (Bitset.bit_of l)
+          l (2 * w) (arr 0 l) state 0 !inserts
     end
     else begin
       (* Arrival state: finish at the target, or spend / skip the one
@@ -120,10 +179,9 @@ let optimal ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace net
         then begin
           let qs, cs = Network.conv_successors net v l in
           convs := !convs + Array.length qs;
-          for i = 0 to Array.length qs - 1 do
-            if Workspace.relax_add ws (dep v qs.(i)) state cs i (p_convert l) then
-              incr inserts
-          done
+          inserts :=
+            !inserts
+            + Workspace.relax_row ws state qs cs ~base:(dep v 0) ~stride:2 (p_convert l)
         end
       end
     end
@@ -201,40 +259,27 @@ let optimal_bounded ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace
   Workspace.reset ws n_states;
   let pops = ref 0 and inserts = ref 0 and convs = ref 0 in
   if Workspace.relax ws super_source 0.0 p_start then incr inserts;
-  let graph = Network.graph net in
+  let sr = search ws link_enabled net in
   let settled_sink = ref false in
   while (not !settled_sink) && Workspace.heap_size ws > 0 do
     let state = Workspace.pop_min ws in
     incr pops;
     if state = super_sink then settled_sink := true
     else if state = super_source then begin
-      let out = Digraph.out_edges graph source in
+      let out = sr.out.(source) in
       for i = 0 to Array.length out - 1 do
         let e = out.(i) in
         if link_enabled e then
-          for l = 0 to w - 1 do
-            if
-              Network.is_available net e l
-              && Workspace.relax_copy ws (dep source l 0) state p_start
-            then incr inserts
-          done
+          inserts := seed_link sr e 0 (2 * kk) (dep source 0 0) state !inserts
       done
     end
     else if state land 1 = 1 then begin
       let s2 = state asr 1 in
       let vl = s2 / kk and k = s2 mod kk in
       let v = vl / w and l = vl mod w in
-      let out = Digraph.out_edges graph v in
-      for i = 0 to Array.length out - 1 do
-        let e = out.(i) in
-        if
-          link_enabled e
-          && Network.is_available net e l
-          && Workspace.relax_add ws
-               (arr (Network.link_dst net e) l k)
-               state (Network.weight_row net e) l (p_traverse e)
-        then incr inserts
-      done
+      inserts :=
+        relax_links sr sr.out.(v) (Bitset.word_of l) (Bitset.bit_of l)
+          l (2 * w * kk) (arr 0 l k) state 0 !inserts
     end
     else begin
       let s2 = state asr 1 in
@@ -252,10 +297,9 @@ let optimal_bounded ?(link_enabled = fun _ -> true) ?(obs = Obs.null) ?workspace
         if v <> source && k < max_conversions then begin
           let qs, cs = Network.conv_successors net v l in
           convs := !convs + Array.length qs;
-          for i = 0 to Array.length qs - 1 do
-            if Workspace.relax_add ws (dep v qs.(i) (k + 1)) state cs i p then
-              incr inserts
-          done
+          inserts :=
+            !inserts
+            + Workspace.relax_row ws state qs cs ~base:(dep v 0 (k + 1)) ~stride:(2 * kk) p
         end
       end
     end

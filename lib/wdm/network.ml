@@ -19,8 +19,15 @@ type t = {
   conv_first_dominates : bool array;
       (* per node: every pair allowed at one cost c >= 0 *)
   hop_weights : float array;        (* per link: 1.0 *)
+  out_links : int array array;      (* per node: the graph's out-edge arrays *)
+  link_dst : int array;             (* per link: head node *)
   mutable used : Bitset.t array;    (* per link: wavelengths in use *)
   failed : bool array;
+  words_per_link : int;
+  avail : int array;
+      (* per link, [words_per_link] words in Bitset's layout: Λ(e) \ used(e),
+         all zero while the link has failed.  Every mutation below keeps
+         them in step; the layered kernels read them directly. *)
 }
 
 let create ~n_nodes ~n_wavelengths ~links ~converters =
@@ -51,6 +58,7 @@ let create ~n_nodes ~n_wavelengths ~links ~converters =
       weights.(e) <- w)
     links;
   let conv = Array.init n_nodes converters in
+  let nw = Bitset.n_words n_wavelengths in
   Array.iteri
     (fun v spec ->
       match Conversion.validate spec ~n_wavelengths with
@@ -73,8 +81,13 @@ let create ~n_nodes ~n_wavelengths ~links ~converters =
           | Conversion.No_conversion | Conversion.Table _ -> false)
         conv;
     hop_weights = Array.make m 1.0;
-    used =Array.init m (fun _ -> Bitset.create n_wavelengths);
+    out_links = Array.init n_nodes (Digraph.out_edges graph);
+    link_dst = Array.init m (Digraph.dst graph);
+    used = Array.init m (fun _ -> Bitset.create n_wavelengths);
     failed = Array.make m false;
+    words_per_link = nw;
+    avail =
+      Array.init (m * nw) (fun i -> Bitset.word lambdas.(i / nw) (i mod nw));
   }
 
 let graph t = t.graph
@@ -127,25 +140,57 @@ let available t e =
   if t.failed.(e) then Bitset.create t.n_wavelengths
   else Bitset.diff t.lambdas.(e) t.used.(e)
 
-(* Both sit in the layered search's inner loop: test directly instead of
-   materialising the (allocating) difference set. *)
-let is_available t e l =
-  (not t.failed.(e)) && Bitset.mem t.lambdas.(e) l && not (Bitset.mem t.used.(e) l)
+let words_per_link t = t.words_per_link
+let avail_words t = t.avail
+let out_links t = t.out_links
+let link_dsts t = t.link_dst
+let weight_rows t = t.weights
 
+(* Recompute link [e]'s availability words from Λ(e), used(e) and the
+   failure flag. *)
+let refresh_words t e =
+  let base = e * t.words_per_link in
+  for k = 0 to t.words_per_link - 1 do
+    t.avail.(base + k) <-
+      (if t.failed.(e) then 0
+       else Bitset.word t.lambdas.(e) k land lnot (Bitset.word t.used.(e) k))
+  done
+
+let word_index t e l = (e * t.words_per_link) + Bitset.word_of l
+
+(* lint: no-alloc *)
+let is_available t e l =
+  (* The range check and its message are those of [Bitset.mem]. *)
+  if l < 0 || l >= t.n_wavelengths then invalid_arg "Bitset: element out of range";
+  t.avail.(word_index t e l) land Bitset.bit_of l <> 0
+
+(* lint: no-alloc *)
+let rec any_word (words : int array) i stop =
+  i < stop && (words.(i) <> 0 || any_word words (i + 1) stop)
+
+(* lint: no-alloc *)
 let has_available t e =
-  (not t.failed.(e)) && not (Bitset.subset t.lambdas.(e) t.used.(e))
+  let base = e * t.words_per_link in
+  any_word t.avail base (base + t.words_per_link)
 
 let allocate t e l =
   if t.failed.(e) then invalid_arg "Network.allocate: link failed";
   if not (Bitset.mem t.lambdas.(e) l) then
     invalid_arg "Network.allocate: wavelength not on link";
   if Bitset.mem t.used.(e) l then invalid_arg "Network.allocate: wavelength in use";
-  t.used.(e) <- Bitset.add t.used.(e) l
+  t.used.(e) <- Bitset.add t.used.(e) l;
+  let i = word_index t e l in
+  t.avail.(i) <- t.avail.(i) land lnot (Bitset.bit_of l)
 
 let release t e l =
   if not (Bitset.mem t.used.(e) l) then
     invalid_arg "Network.release: wavelength not in use";
-  t.used.(e) <- Bitset.remove t.used.(e) l
+  t.used.(e) <- Bitset.remove t.used.(e) l;
+  (* λ ∈ used(e) ⊆ Λ(e), so it is free again unless the link is down. *)
+  if not t.failed.(e) then begin
+    let i = word_index t e l in
+    t.avail.(i) <- t.avail.(i) lor Bitset.bit_of l
+  end
 
 let link_load t e =
   float_of_int (Bitset.cardinal t.used.(e))
@@ -170,15 +215,23 @@ let copy t =
     t with
     used = Array.map (fun u -> u) t.used;
     failed = Array.copy t.failed;
+    avail = Array.copy t.avail;
   }
 
 let reset_usage t =
   for e = 0 to n_links t - 1 do
-    t.used.(e) <- Bitset.create t.n_wavelengths
+    t.used.(e) <- Bitset.create t.n_wavelengths;
+    refresh_words t e
   done
 
-let fail_link t e = t.failed.(e) <- true
-let repair_link t e = t.failed.(e) <- false
+let fail_link t e =
+  t.failed.(e) <- true;
+  refresh_words t e
+
+let repair_link t e =
+  t.failed.(e) <- false;
+  refresh_words t e
+
 let is_failed t e = t.failed.(e)
 
 let pp fmt t =

@@ -89,8 +89,38 @@ val available : t -> int -> Rr_util.Bitset.t
 (** [Λ_avail(e) = Λ(e) \ used(e)]. *)
 
 val is_available : t -> int -> int -> bool
+(** [is_available t e λ]: [λ ∈ Λ_avail(e)] and [e] has not failed — one
+    load of the availability words below.  Raises [Invalid_argument] when
+    [λ] lies outside [\[0, W)]. *)
+
 val has_available : t -> int -> bool
 (** Link appears in the residual network iff some wavelength is free. *)
+
+(** {2 Flat views for search kernels}
+
+    The layered kernels fetch these arrays once per search instead of
+    calling an accessor per arc.  All are owned by the network and
+    read-only to callers; the structural ones are shared by {!copy}. *)
+
+val words_per_link : t -> int
+(** [Rr_util.Bitset.n_words W]: availability words per link. *)
+
+val avail_words : t -> int array
+(** The availability words, flat: word [k] of link [e] sits at
+    [e * words_per_link t + k] in {!Rr_util.Bitset.word}'s layout and
+    holds [Λ(e) \ used(e)], or [0] while [e] has failed.  Only this
+    module writes them ({!create}, {!allocate}, {!release},
+    {!fail_link}, {!repair_link}, {!reset_usage}, {!copy}); the array is
+    updated in place, so one fetched before a search stays current. *)
+
+val out_links : t -> int array array
+(** Per node, the ids of its out-links ({!Rr_graph.Digraph.out_edges}). *)
+
+val link_dsts : t -> int array
+(** Per link, its head node ({!link_dst}). *)
+
+val weight_rows : t -> float array array
+(** Per link, its {!weight_row}. *)
 
 val allocate : t -> int -> int -> unit
 (** [allocate t e λ] marks λ in use on link [e].

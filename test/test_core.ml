@@ -572,6 +572,73 @@ let test_partial_admit_falls_back_to_full () =
        = Ok ())
   | Some _ -> Alcotest.fail "expected the full-pair fallback"
 
+(* The spine 0-1-2-3 again, its exposed hop e1 with a two-hop detour
+   through node 4, and a two-hop full backup 0-5-3: the detour's BFS hop
+   bound already equals the full backup's hop count, so segmentation
+   cannot pay and the hop bound drops the plan before its detour
+   search. *)
+let bound_net () =
+  Net.create ~n_nodes:6 ~n_wavelengths:2
+    ~links:
+      [
+        link 0 1;                        (* e0 spine *)
+        link 1 2;                        (* e1 spine, exposed *)
+        link 2 3;                        (* e2 spine *)
+        link 1 4 ~weight:(fun _ -> 2.0); (* e3 detour out *)
+        link 4 2 ~weight:(fun _ -> 2.0); (* e4 detour back *)
+        link 0 5 ~weight:(fun _ -> 3.0); (* e5 full backup *)
+        link 5 3 ~weight:(fun _ -> 3.0); (* e6 full backup *)
+      ]
+    ~converters:(fun _ -> Conv.Full 0.5)
+
+let used_sets net = List.init (Net.n_links net) (fun e -> Bitset.to_list (Net.used net e))
+
+let test_partial_hop_bound_falls_back () =
+  let net = bound_net () in
+  let obs = Rr_obs.Obs.create () in
+  let counter name = Rr_obs.Metrics.counter (Rr_obs.Obs.metrics obs) name in
+  let layered_calls () =
+    match List.assoc_opt "kernel.layered" (Rr_obs.Metrics.items (Rr_obs.Obs.metrics obs)) with
+    | Some (Rr_obs.Metrics.Histogram h) -> h.Rr_obs.Metrics.count
+    | _ -> 0
+  in
+  match Protect.admit ~obs ~exposure:(only [ 1 ]) (ctx net) ~source:0 ~target:3 with
+  | Some (primary, Protect.Full b) ->
+    check Alcotest.(list int) "primary is the spine" [ 0; 1; 2 ] (Slp.links primary);
+    check Alcotest.(list int) "full backup" [ 5; 6 ] (Slp.links b);
+    check Alcotest.int "bound fired" 1 (counter "survive.partial.hop_bound");
+    check Alcotest.int "fell back" 1 (counter "survive.partial.full_fallback");
+    check Alcotest.int "not segmented" 0 (counter "survive.partial.segmented");
+    (* two refines for the full pair and the unprotected primary: no
+       detour search ran *)
+    check Alcotest.int "layered searches" 3 (layered_calls ());
+    (* exactly the pair is allocated: nothing of the dropped plan stays *)
+    let fresh = bound_net () in
+    Slp.allocate fresh primary;
+    Slp.allocate fresh b;
+    check Alcotest.(list (list int)) "allocation state" (used_sets fresh) (used_sets net)
+  | Some _ -> Alcotest.fail "expected the full-pair fallback"
+  | None -> Alcotest.fail "admission expected"
+
+(* The bound never exceeds the hops of the detour the layered search
+   returns under the same filter, over the golden's residual states and
+   converter kinds; an unreachable bound means no detour at all. *)
+let prop_hop_bound_below_detour =
+  let golden = Rr_check.Layered_golden.(List.length kinds) in
+  QCheck.Test.make ~name:"detour hop bound <= hops of Layered.optimal" ~count:40
+    QCheck.small_int (fun seed ->
+      let w = List.nth [ 1; 4; 16 ] (seed mod 3) in
+      let kind = List.nth Rr_check.Layered_golden.kinds (seed mod golden) in
+      let net, enabled, requests = Rr_check.Layered_golden.scenario w kind (seed + 900) in
+      let link_enabled = Array.get enabled in
+      List.for_all
+        (fun (source, target) ->
+          let bound = Protect.detour_hop_bound net ~link_enabled ~source ~target in
+          match Rr_wdm.Layered.optimal ~link_enabled net ~source ~target with
+          | Some (p, _) -> bound <= Slp.length p
+          | None -> true)
+        requests)
+
 (* Book one partially protected 0->3 connection, fail [links] and run
    one restoration pass: the connection and its outcome, if it was hit. *)
 let restore_after net ~exposed links =
@@ -696,6 +763,9 @@ let suite =
           test_partial_admit_unexposed_needs_no_backup;
         Alcotest.test_case "full-pair fallback" `Quick
           test_partial_admit_falls_back_to_full;
+        Alcotest.test_case "hop bound skips a plan that cannot pay" `Quick
+          test_partial_hop_bound_falls_back;
+        qtest prop_hop_bound_below_detour;
         Alcotest.test_case "restore splices segment" `Quick
           test_restore_splices_segment;
         Alcotest.test_case "restore drops on exhaustion" `Quick

@@ -509,6 +509,62 @@ let test_sim_obs_invariant () =
   let full = same { cfg with partial_protection = None } in
   checkb "preemption happened" true (full.preemptions > 0)
 
+(* A short run shaped like the ledger's sim-failover workload: EON at
+   W = 16 with Full converters, cuts at rate 0.01 on every link with
+   e mod 3 <> 0, mean-5 repairs, eight SRLG conduits cut at 0.1,
+   radius-1 regional outages at 0.02, backup re-provisioning, and partial
+   protection over the exposed links.  The report and the admission
+   counters are pinned to the values captured before the layered kernels
+   read flat availability words and partial protection gained its hop
+   bound — both change only the work done, never a routing.  The
+   [hop_bound] count, which that change introduced, is pinned too. *)
+let test_sim_failover_pin () =
+  let net =
+    Rr_topo.Fitout.fit_out ~rng:(Rng.create 103) ~n_wavelengths:16 Rr_topo.Reference.eon
+  in
+  let m = Net.n_links net in
+  let rates = Array.init m (fun e -> if e mod 3 = 0 then 0.0 else 0.01) in
+  let groups =
+    Robust_routing.Srlg.conduits_of_topology ~rng:(Rng.create 107) net ~conduits:8
+  in
+  let cfg =
+    {
+      (Simulator.default_config Router.Cost_approx
+         (Workload.make ~arrival_rate:40.0 ~mean_holding:1.0))
+      with
+      Simulator.duration = 30.0;
+      seed = 5;
+      link_fail_rates = Some rates;
+      link_repair_rates = Some (Array.make m (1.0 /. 5.0));
+      srlg = Some (groups, 0.1);
+      regional = Some (0.02, 1);
+      reprovision_backup = true;
+      partial_protection = Some (Robust_routing.Partial_protect.exposure_of_rates rates);
+    }
+  in
+  let obs = Rr_obs.Obs.create () in
+  let r = Simulator.run ~obs net cfg in
+  let c = r.Simulator.counters in
+  let int = check Alcotest.int and bits name x = check Alcotest.string name x in
+  int "offered" 1187 c.offered;
+  int "admitted" 1081 c.admitted;
+  int "blocked" 106 c.blocked;
+  int "failures injected" 18 c.failures_injected;
+  int "restorations ok" 28 c.restorations_ok;
+  int "restorations failed" 3 c.restorations_failed;
+  int "passive re-routes" 2 c.passive_reroutes_ok;
+  int "endpoint losses" 15 c.endpoint_losses;
+  bits "admitted cost" "0x1.804bbp+21" (Printf.sprintf "%h" c.total_admitted_cost);
+  bits "availability" "0x1.fa23521969f29p-1" (Printf.sprintf "%h" r.availability);
+  int "backup hops reserved" 3037 r.backup_hops_reserved;
+  int "dropped" 18 r.dropped;
+  int "backups re-provisioned" 22 r.backups_reprovisioned;
+  let counter = Rr_obs.Metrics.counter (Rr_obs.Obs.metrics obs) in
+  int "segmented" 395 (counter "survive.partial.segmented");
+  int "full fallback" 686 (counter "survive.partial.full_fallback");
+  int "hop bound" 608 (counter "survive.partial.hop_bound");
+  int "network clean afterwards" 0 (Net.total_in_use net)
+
 let test_sim_partial_protection_reserves_less () =
   (* Against the same exposure, segment detours cost at most as many
      backup wavelength-links as full edge-disjoint pairs — and still
@@ -623,6 +679,7 @@ let suite =
           test_sim_availability_accounting;
         Alcotest.test_case "partial protection reserves less" `Quick
           test_sim_partial_protection_reserves_less;
+        Alcotest.test_case "sim-failover pin" `Quick test_sim_failover_pin;
         Alcotest.test_case "failure config validation" `Quick
           test_sim_failure_config_validation;
         Alcotest.test_case "obs does not change results" `Quick

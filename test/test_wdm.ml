@@ -136,6 +136,67 @@ let test_net_failure () =
   checkb "usage preserved across failure" false (Net.is_available net 0 0);
   checkb "free λ back after repair" true (Net.is_available net 0 1)
 
+(* The availability words against the Bitset definition, after random
+   mutation sequences at one-word, two-word and three-word W. *)
+let words_match_definition net =
+  let w = Net.n_wavelengths net and nw = Net.words_per_link net in
+  let words = Net.avail_words net in
+  List.for_all
+    (fun e ->
+      let expect =
+        if Net.is_failed net e then Bitset.create w
+        else Bitset.diff (Net.lambdas net e) (Net.used net e)
+      in
+      Bitset.equal (Net.available net e) expect
+      && Bool.equal (Net.has_available net e) (not (Bitset.is_empty expect))
+      && List.for_all
+           (fun l -> Bool.equal (Net.is_available net e l) (Bitset.mem expect l))
+           (List.init w Fun.id)
+      && List.for_all
+           (fun k -> words.((e * nw) + k) = Bitset.word expect k)
+           (List.init nw Fun.id))
+    (List.init (Net.n_links net) Fun.id)
+
+let prop_net_words_track_mutations =
+  QCheck.Test.make ~name:"availability words = Λ(e) \\ used(e), empty when failed"
+    ~count:60 QCheck.small_int (fun seed ->
+      let rng = Rng.create (seed + 4242) in
+      let w = List.nth [ 16; 64; 130 ] (seed mod 3) in
+      let n = 5 in
+      let links =
+        List.init 9 (fun _ ->
+            let u = Rng.int rng n in
+            let v = (u + 1 + Rng.int rng (n - 1)) mod n in
+            let lambdas = List.filter (fun _ -> Rng.uniform rng < 0.6) (List.init w Fun.id) in
+            link u v ~lambdas:(if List.is_empty lambdas then [ w - 1 ] else lambdas))
+      in
+      let net =
+        ref (Net.create ~n_nodes:n ~n_wavelengths:w ~links ~converters:(fun _ -> Conv.Full 0.5))
+      in
+      let m = Net.n_links !net in
+      let pick set =
+        let l = Bitset.to_list set in
+        if List.is_empty l then None else Some (List.nth l (Rng.int rng (List.length l)))
+      in
+      let copies = ref [] in
+      let ok = ref (words_match_definition !net) in
+      for _ = 1 to 80 do
+        let e = Rng.int rng m in
+        (match Rng.int rng 12 with
+         | 0 | 1 | 2 | 3 ->
+           Option.iter (Net.allocate !net e) (pick (Net.available !net e))
+         | 4 | 5 | 6 -> Option.iter (Net.release !net e) (pick (Net.used !net e))
+         | 7 | 8 -> Net.fail_link !net e
+         | 9 -> Net.repair_link !net e
+         | 10 -> Net.reset_usage !net
+         | _ ->
+           (* Mutate the copy from here on; the original must keep its words. *)
+           copies := !net :: !copies;
+           net := Net.copy !net);
+        ok := !ok && words_match_definition !net
+      done;
+      !ok && List.for_all words_match_definition !copies)
+
 let test_net_load_eq2 () =
   (* Eq. (2): ρ(e) = (|Λ(e)| - |Λ_avail(e)|) / |Λ(e)| *)
   let net =
@@ -603,6 +664,7 @@ let suite =
         Alcotest.test_case "copy isolated" `Quick test_net_copy_isolated;
         Alcotest.test_case "failure" `Quick test_net_failure;
         Alcotest.test_case "load Eq. 2" `Quick test_net_load_eq2;
+        qtest prop_net_words_track_mutations;
       ] );
     ( "wdm.semilightpath",
       [
