@@ -463,11 +463,26 @@ let test_stats_histogram () =
   check Alcotest.int "low bin" 2 c0;
   check Alcotest.int "high bin" 2 c1
 
-let test_stats_ci95 () =
-  let lo, hi = Stats.ci95 [ 1.0; 2.0; 3.0; 4.0; 5.0 ] in
-  checkb "brackets the mean" true (lo < 3.0 && 3.0 < hi);
-  checkb "symmetric" true (Float.abs (hi -. 3.0 -. (3.0 -. lo)) < 1e-9);
-  check Alcotest.(pair (float 0.0) (float 0.0)) "singleton" (7.0, 7.0) (Stats.ci95 [ 7.0 ])
+let test_stats_wins_needed () =
+  List.iter
+    (fun (n, k) ->
+      check Alcotest.(option int) (Printf.sprintf "n = %d" n) k (Stats.wins_needed n))
+    [ (0, None); (5, None); (6, Some 6); (7, Some 7); (10, Some 9); (20, Some 15);
+      (201, Some 115) ]
+
+(* Reference: row n of Pascal's triangle, its upper tails summed naively. *)
+let prop_wins_needed =
+  QCheck.Test.make ~name:"wins_needed = naive binomial tail" ~count:200
+    QCheck.(int_range 0 400)
+    (fun n ->
+      let row = Array.make (n + 1) 0.0 in
+      row.(0) <- 1.0;
+      for i = 1 to n do
+        for j = i downto 1 do row.(j) <- row.(j) +. row.(j - 1) done
+      done;
+      let tail k = ldexp (Array.fold_left ( +. ) 0.0 (Array.sub row k (n + 1 - k))) (-n) in
+      let rec first k = if k > n then None else if tail k <= 0.025 then Some k else first (k + 1) in
+      Stats.wins_needed n = first 0)
 
 let test_stats_empty_raises () =
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty") (fun () ->
@@ -553,7 +568,8 @@ let suite =
         Alcotest.test_case "summary" `Quick test_stats_summary;
         Alcotest.test_case "percentile interpolation" `Quick test_stats_percentile_interp;
         Alcotest.test_case "histogram" `Quick test_stats_histogram;
-        Alcotest.test_case "ci95" `Quick test_stats_ci95;
+        Alcotest.test_case "sign-test wins needed" `Quick test_stats_wins_needed;
+        qtest prop_wins_needed;
         Alcotest.test_case "empty raises" `Quick test_stats_empty_raises;
       ] );
     ( "util.table",
